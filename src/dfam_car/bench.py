@@ -15,12 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import classifiers, dfam
 from .dfam import BinLayout
 from .errors import ConfigError
-from .features import extract_features
-from .pipeline import ModelSpec, bundle_spectra, feature_train_fn, prepare_bundles
 from .evaluate import Instance
+from .pipeline import ModelSpec, prepare_bundles, trainer_for, window_payload
 from .signals import DEFAULT_CUTOFF_HZ, SENSORS
 from .synth import default_activity_set, make_corpus
 
@@ -60,26 +58,14 @@ def build_bench_windows(
 
 def _timed_classifier(spec: ModelSpec, train_set, layout, window_size, fs, seed):
     """Train outside the clock; return the per-window closure to time."""
-    if spec.kind == "dfam":
-        pairs = [
-            (label, dfam.extract_signature(bundle_spectra(bundle, fs), layout))
-            for label, bundle in train_set
-        ]
-        model = dfam.train_from_signatures(pairs, layout, window_size, seed)
-
-        def run(bundle):
-            sig = dfam.extract_signature(bundle_spectra(bundle, fs), layout)
-            return dfam.classify(sig, model).label
-
-        return run
-
-    instances = [
-        Instance(label, extract_features(bundle, fs)) for label, bundle in train_set
-    ]
-    model = feature_train_fn(spec, seed)(instances)
+    kind = spec.kind
+    train_fn, _ = trainer_for(spec, layout, window_size, seed)
+    model = train_fn(
+        [Instance(label, window_payload(kind, bundle, fs, layout)) for label, bundle in train_set]
+    )
 
     def run(bundle):
-        return classifiers.predict(model, extract_features(bundle, fs))
+        return kind.predict(model, window_payload(kind, bundle, fs, layout))[0]
 
     return run
 

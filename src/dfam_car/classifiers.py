@@ -1,8 +1,11 @@
-"""From-scratch baseline classifiers over feature vectors.
+"""From-scratch baseline classifiers over feature vectors, and the table of
+every model kind the package trains.
 
-All five share one trained-model envelope and a uniform train/predict
-contract: labels are plain strings, ties resolve to the first label in
-canonical (sorted) order, and every stochastic step takes an explicit seed.
+All five baselines share one trained-model envelope and a uniform
+train/predict contract: labels are plain strings, ties resolve to the first
+label in canonical (sorted) order, and every stochastic step takes an
+explicit seed. MODEL_KINDS holds DFAM and the five baselines; adding a
+model kind means adding one entry there.
 """
 
 from __future__ import annotations
@@ -10,14 +13,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from . import dfam
 from .errors import ConfigError, ParseError, TrainingError
 from .features import FeatureVector, Schema
-
-KINDS = ("naive_bayes", "knn", "decision_tree", "random_forest", "svm")
 
 _VAR_FLOOR = 1e-9
 
@@ -367,18 +369,10 @@ def predict(model: FeatureModel, vector: FeatureVector) -> str:
     """Predict a label; rejects vectors whose schema differs from training."""
     if vector.schema != model.schema:
         raise ConfigError("feature vector schema does not match the trained model")
-    x = vector.values
-    if model.kind == "naive_bayes":
-        return model.labels[int(np.argmax(nb_log_posterior(model, x)))]
-    if model.kind == "knn":
-        return _knn_predict(model, x)
-    if model.kind == "decision_tree":
-        return _tree_predict(model.params["tree"], x)
-    if model.kind == "random_forest":
-        return _rf_predict(model, x)
-    if model.kind == "svm":
-        return model.labels[int(np.argmax(svm_decision_values(model, x)))]
-    raise ConfigError(f"unknown model kind {model.kind!r}")
+    kind = _BY_STORED.get(model.kind)
+    if kind is None or kind.signature:
+        raise ConfigError(f"unknown model kind {model.kind!r}")
+    return kind.decide(model, vector.values)
 
 
 # -------------------------------------------------------------- serialization
@@ -406,36 +400,30 @@ def dumps_feature_model(model: FeatureModel) -> str:
     return f"MODEL v1 kind={model.kind}\n" + json.dumps(body, sort_keys=True) + "\n"
 
 
-_ARRAY_PARAMS = {
-    "naive_bayes": ("log_prior", "mean", "var"),
-    "knn": ("mean", "std", "X"),
-    "svm": ("mean", "std", "W", "b"),
-    "decision_tree": (),
-    "random_forest": (),
-}
-
-
 def loads_feature_model(text: str) -> FeatureModel:
     lines = text.split("\n", 1)
     header = lines[0].split()
     if header[:2] != ["MODEL", "v1"] or len(header) != 3 or not header[2].startswith("kind="):
         raise ParseError(f"bad model header {lines[0]!r}", 1)
-    kind = header[2][len("kind=") :]
-    if kind not in KINDS:
-        raise ParseError(f"unknown model kind {kind!r}", 1)
+    stored = header[2][len("kind=") :]
+    kind = _BY_STORED.get(stored)
+    if kind is None or kind.signature:
+        raise ParseError(f"unknown model kind {stored!r}", 1)
     try:
         body = json.loads(lines[1])
     except (IndexError, json.JSONDecodeError):
         raise ParseError("bad model body", 2) from None
+    fields = (("labels", list), ("schema", list), ("params", dict))
+    if not isinstance(body, dict) or any(not isinstance(body.get(f), t) for f, t in fields):
+        raise ParseError("model body needs a labels list, a schema list and a params object", 2)
     params = body["params"]
-    for key in _ARRAY_PARAMS[kind]:
-        params[key] = np.asarray(params[key], dtype=np.float64)
-    return FeatureModel(
-        kind,
-        tuple(body["labels"]),
-        tuple((name, key) for name, key in body["schema"]),
-        params,
-    )
+    try:
+        for key in kind.array_params:
+            params[key] = np.asarray(params[key], dtype=np.float64)
+        schema = tuple((name, key) for name, key in body["schema"])
+    except (KeyError, TypeError, ValueError):
+        raise ParseError("bad model params or schema", 2) from None
+    return FeatureModel(kind.stored, tuple(body["labels"]), schema, params)
 
 
 def save_feature_model(model: FeatureModel, path) -> None:
@@ -446,3 +434,97 @@ def save_feature_model(model: FeatureModel, path) -> None:
 def load_feature_model(path) -> FeatureModel:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_feature_model(fh.read())
+
+
+# ----------------------------------------------------------------- model table
+
+@dataclass(frozen=True)
+class ModelKind:
+    """One model kind: how --model spells it, the kind its files record,
+    what a window becomes for it, and how it trains, predicts and saves.
+
+    train(pairs, layout, window_size, seed, k) fits (label, payload) pairs;
+    predict(model, payload) returns (label, score or None); windowing(model,
+    W, fs) gives the window size, sample rate and bin layout a stored model
+    reads recordings with, the W and fs arguments filling what it lacks.
+    """
+
+    name: str  # --model spelling
+    stored: str  # kind recorded in model files
+    k: int | None  # default k for kinds whose spelling takes a numeric suffix
+    signature: bool  # windows become DFAM signatures, else feature vectors
+    train: Callable
+    predict: Callable
+    save: Callable
+    windowing: Callable
+    decide: Callable | None = None  # (FeatureModel, values) -> label
+    array_params: tuple[str, ...] = ()  # params stored as float arrays
+
+
+def _dfam_predict(model, sig):
+    result = dfam.classify(sig, model)
+    return result.label, result.scores[result.label]
+
+
+def _feature_predict(model, vector):
+    return predict(model, vector), None
+
+
+def _feature_windowing(model, window_size, sample_rate_hz):
+    params = model.params
+    return (
+        window_size or params.get("window_size"),
+        params.get("sample_rate_hz", sample_rate_hz),
+        None,
+    )
+
+
+def _baseline(name, stored, fit, decide, array_params=(), k=None) -> ModelKind:
+    """Row of a feature-vector classifier; fit(dataset, seed, k) -> FeatureModel."""
+
+    def train(pairs, layout, window_size, seed, k):
+        model = fit(FeatureDataset.from_vectors(pairs), seed, k)
+        # stamp the windowing config so classify can run from the file alone
+        params = {**model.params, "window_size": window_size, "sample_rate_hz": layout.sample_rate_hz}
+        return FeatureModel(model.kind, model.labels, model.schema, params)
+
+    return ModelKind(
+        name, stored, k, False, train, _feature_predict, save_feature_model,
+        _feature_windowing, decide, array_params,
+    )
+
+
+# Traced functions (train_*, predict, dfam.*) are called through lambdas so
+# that a wrapper installed on the module attribute sees every call.
+MODEL_KINDS = (
+    ModelKind(
+        "dfam", "dfam", None, True,
+        lambda pairs, layout, w, seed, k: dfam.train_from_signatures(pairs, layout, w, seed),
+        _dfam_predict,
+        dfam.save_model,
+        lambda m, w, fs: (m.window_size, m.layout.sample_rate_hz, m.layout),
+    ),
+    _baseline(
+        "nb", "naive_bayes", lambda d, seed, k: train_nb(d),
+        lambda m, x: m.labels[int(np.argmax(nb_log_posterior(m, x)))],
+        ("log_prior", "mean", "var"),
+    ),
+    _baseline("knn", "knn", lambda d, seed, k: train_knn(d, k), _knn_predict, ("mean", "std", "X"), k=3),
+    _baseline(
+        "dt", "decision_tree", lambda d, seed, k: train_dt(d),
+        lambda m, x: _tree_predict(m.params["tree"], x),
+    ),
+    _baseline("rf", "random_forest", lambda d, seed, k: train_rf(d, seed=seed), _rf_predict),
+    _baseline(
+        "svm", "svm", lambda d, seed, k: train_svm(d, epochs=60, seed=seed),
+        lambda m, x: m.labels[int(np.argmax(svm_decision_values(m, x)))],
+        ("mean", "std", "W", "b"),
+    ),
+)
+
+_BY_STORED = {kind.stored: kind for kind in MODEL_KINDS}
+
+
+def kind_of(model) -> ModelKind:
+    """The table row of a trained DfamModel or FeatureModel."""
+    return _BY_STORED[model.kind]

@@ -6,15 +6,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import bench as bench_mod
-from . import dfam, evaluate, pipeline, synth
-from .classifiers import FeatureModel
+from . import classifiers, evaluate, pipeline, synth
 from .dfam import BinLayout, DfamModel
-from .errors import CarError, ConfigError
+from .errors import CarError, ConfigError, ParseError
 from .hierarchy import DEFAULT_RESET_PERIOD, HierarchicalCar, write_events_jsonl
 from .signals import DEFAULT_CUTOFF_HZ, DEVICES, SENSORS, read_recording
 
@@ -81,16 +78,8 @@ def _validate_devices(devices) -> tuple[str, ...]:
 
 
 def _max_workers() -> int:
-    env = os.environ.get("DFAM_CAR_THREADS")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError(f"DFAM_CAR_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise ConfigError("DFAM_CAR_THREADS must be >= 1")
-        return cap
-    return min(4, os.cpu_count() or 1)
+    """Cells `evaluate` runs at once: one, in sorted order."""
+    return 1
 
 
 # ------------------------------------------------------------------- commands
@@ -140,53 +129,27 @@ def cmd_train(args) -> int:
         instances = pipeline.relabel_distracted(instances)
     train_fn, _ = pipeline.trainer_for(spec, layout, args.W, args.seed)
     model = train_fn(sorted(instances, key=lambda i: (i.label, i.block or "", i.participant or "")))
-    if not isinstance(model, DfamModel):
-        # stamp the windowing config so classify can run from the file alone
-        model = FeatureModel(
-            model.kind,
-            model.labels,
-            model.schema,
-            {**model.params, "window_size": args.W, "sample_rate_hz": args.fs},
-        )
-    pipeline.save_any_model(model, args.out)
+    spec.kind.save(model, args.out)
     print(f"trained {spec} on {len(instances)} instances -> {args.out}")
     return 0
 
 
 def cmd_classify(args) -> int:
     model = pipeline.load_any_model(args.model_file)
+    kind = classifiers.kind_of(model)
     sensors = _validate_sensors(_comma_list(args.sensors))
     series = read_recording(args.recording, args.fs, sensors)
-    if isinstance(model, DfamModel):
-        window_size = model.window_size
-        fs = model.layout.sample_rate_hz
-    else:
-        window_size = args.W or model.params.get("window_size")
-        fs = model.params.get("sample_rate_hz", args.fs)
-        if window_size is None:
-            raise ConfigError("feature model file carries no window size; pass --W")
+    window_size, fs, layout = kind.windowing(model, args.W, args.fs)
+    if window_size is None:
+        raise ConfigError("feature model file carries no window size; pass --W")
     bundles = pipeline.prepare_bundles(series, int(window_size), args.cutoff, sensors)
     rows = []
-    for i, bundle in enumerate(bundles):
-        if isinstance(model, DfamModel):
-            if len(bundle) != model.axes:
-                raise ConfigError(
-                    f"model expects {model.axes} axes but the recording/sensor "
-                    f"selection yields {len(bundle)}"
-                )
-            sig = dfam.extract_signature(pipeline.bundle_spectra(bundle, fs), model.layout)
-            result = dfam.classify(sig, model)
-            rows.append((i, result.label, repr(result.scores[result.label])))
-        else:
-            from .classifiers import predict
-            from .features import extract_features
-
-            label = predict(model, extract_features(bundle, fs))
-            rows.append((i, label, ""))
+    for bundle in bundles:
+        label, score = kind.predict(model, pipeline.window_payload(kind, bundle, fs, layout))
+        rows.append(f"{len(rows)},{label},{'' if score is None else repr(score)}\n")
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("window_index,label,score\n")
-        for i, label, score in rows:
-            fh.write(f"{i},{label},{score}\n")
+        fh.writelines(rows)
     print(f"classified {len(rows)} windows -> {args.out}")
     return 0
 
@@ -238,37 +201,19 @@ def cmd_evaluate(args) -> int:
         pipeline.load_corpus(args.corpus, args.fs, sensors),
         _comma_list(args.placement) if args.placement else None,
     )
-    cells = [(m, w, g) for m in models for w in ws for g in gs]
-    results = {}
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        futures = {
-            pool.submit(
-                _evaluate_cell,
-                recordings,
-                args.protocol,
-                m,
-                w,
-                g,
-                sensors,
-                args.cutoff,
-                args.fs,
-                args.seed,
-                args.k,
-            ): (m, w, g)
-            for (m, w, g) in cells
-        }
-        for fut, key in futures.items():
-            results[key] = fut.result()
-    rows = [results[key][0] for key in sorted(results)]
+    results = [
+        _evaluate_cell(
+            recordings, args.protocol, m, w, g, sensors, args.cutoff, args.fs, args.seed, args.k
+        )
+        for m, w, g in sorted({(m, w, g) for m in models for w in ws for g in gs})
+    ]
+    rows = [row for row, _ in results]
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
     if args.json:
-        payload = [
-            {"cell": results[key][0], "report": results[key][1].to_dict()}
-            for key in sorted(results)
-        ]
+        payload = [{"cell": row, "report": report.to_dict()} for row, report in results]
         with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -282,13 +227,14 @@ def _read_context(path) -> dict[int, bool]:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["window_index", "smartphone_in_use"]:
-            from .errors import ParseError
-
             raise ParseError(f"bad context header {header!r}", 1)
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            flags[int(row[0])] = row[1].strip().lower() in ("1", "true", "yes")
+            try:
+                flags[int(row[0])] = row[1].strip().lower() in ("1", "true", "yes")
+            except (IndexError, ValueError):
+                raise ParseError(f"bad context row {row!r}", lineno) from None
     return flags
 
 

@@ -10,7 +10,7 @@ c of its s axes. Classification sums scores per label and takes the argmax.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -178,6 +178,7 @@ class DfamModel:
     from many threads at once.
     """
 
+    kind: ClassVar[str] = "dfam"  # row of classifiers.MODEL_KINDS, as FeatureModel.kind
     layout: BinLayout
     window_size: int
     instances: tuple[tuple[str, Signature], ...]

@@ -122,7 +122,7 @@ class EvaluationReport:
 
 
 def _safe_div(num: float, den: float) -> float:
-    return num / den if den > 0 else 0.0
+    return float(num / den) if den > 0 else 0.0
 
 
 def _f1(p: float, r: float) -> float:

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import classifiers, dfam
-from .dfam import ActivityLabel, BinLayout, DfamModel
+from .dfam import ActivityLabel, BinLayout
 from .errors import ConfigError, ParseError
 from .evaluate import Instance
 from .features import extract_features
@@ -86,136 +86,50 @@ def bundle_spectra(
     return [spectrum(bundle[ch], sample_rate_hz) for ch in sorted(bundle)]
 
 
-def signature_instances(
-    recordings: Sequence[Recording],
-    window_size: int,
-    layout: BinLayout,
-    sensors: Sequence[str] = SENSORS,
-    cutoff_hz: float | None = DEFAULT_CUTOFF_HZ,
-    devices: Sequence[str] = DEVICES,
-) -> list[Instance]:
-    out = []
-    for rec in recordings:
-        fs = next(iter(rec.series.values())).sample_rate_hz
-        for bundle in prepare_bundles(rec.series, window_size, cutoff_hz, sensors, devices):
-            sig = dfam.extract_signature(bundle_spectra(bundle, fs), layout)
-            out.append(Instance(str(rec.label), sig, rec.participant_id, rec.recording_id))
-    return out
-
-
-def feature_instances(
-    recordings: Sequence[Recording],
-    window_size: int,
-    sensors: Sequence[str] = SENSORS,
-    cutoff_hz: float | None = DEFAULT_CUTOFF_HZ,
-    devices: Sequence[str] = DEVICES,
-) -> list[Instance]:
-    out = []
-    for rec in recordings:
-        fs = next(iter(rec.series.values())).sample_rate_hz
-        for bundle in prepare_bundles(rec.series, window_size, cutoff_hz, sensors, devices):
-            vec = extract_features(bundle, fs)
-            out.append(Instance(str(rec.label), vec, rec.participant_id, rec.recording_id))
-    return out
+def window_payload(kind: classifiers.ModelKind, bundle, sample_rate_hz: float, layout):
+    """One window as a model kind reads it: a DFAM signature or a feature vector."""
+    if kind.signature:
+        return dfam.extract_signature(bundle_spectra(bundle, sample_rate_hz), layout)
+    return extract_features(bundle, sample_rate_hz)
 
 
 # ------------------------------------------------------------- model wiring
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Parsed --model flag: dfam | nb | dt | rf | svm | knn<k>."""
+    """Parsed --model flag: a row of classifiers.MODEL_KINDS, plus knn's k."""
 
-    kind: str
-    params: dict = field(default_factory=dict)
+    kind: classifiers.ModelKind
+    k: int | None = None
 
     @classmethod
     def parse(cls, text: str) -> "ModelSpec":
         text = text.strip()
-        if text == "dfam":
-            return cls("dfam")
-        if text == "nb":
-            return cls("naive_bayes")
-        if text == "dt":
-            return cls("decision_tree")
-        if text == "rf":
-            return cls("random_forest")
-        if text == "svm":
-            return cls("svm")
-        if text.startswith("knn"):
+        for kind in classifiers.MODEL_KINDS:
+            suffix = text[len(kind.name) :]
+            if not text.startswith(kind.name) or (suffix and kind.k is None):
+                continue
             try:
-                k = int(text[3:]) if text[3:] else 3
+                return cls(kind, int(suffix) if suffix else kind.k)
             except ValueError:
-                raise ConfigError(f"bad knn spec {text!r}") from None
-            return cls("knn", {"k": k})
+                raise ConfigError(f"bad {kind.name} spec {text!r}") from None
         raise ConfigError(f"unknown model spec {text!r}")
 
-    @property
-    def uses_features(self) -> bool:
-        return self.kind != "dfam"
-
     def __str__(self) -> str:
-        if self.kind == "knn":
-            return f"knn{self.params['k']}"
-        short = {"naive_bayes": "nb", "decision_tree": "dt", "random_forest": "rf"}
-        return short.get(self.kind, self.kind)
-
-
-def dfam_train_fn(layout: BinLayout, window_size: int, seed: int = 0):
-    def train_fn(instances: Sequence[Instance]) -> DfamModel:
-        return dfam.train_from_signatures(
-            [(inst.label, inst.payload) for inst in instances], layout, window_size, seed
-        )
-
-    return train_fn
-
-
-def dfam_predict_fn(model: DfamModel, instance: Instance) -> str:
-    return dfam.classify(instance.payload, model).label
-
-
-def feature_train_fn(spec: ModelSpec, seed: int = 0):
-    def train_fn(instances: Sequence[Instance]):
-        dataset = classifiers.FeatureDataset.from_vectors(
-            [(inst.label, inst.payload) for inst in instances]
-        )
-        if spec.kind == "naive_bayes":
-            return classifiers.train_nb(dataset)
-        if spec.kind == "knn":
-            return classifiers.train_knn(dataset, spec.params.get("k", 3))
-        if spec.kind == "decision_tree":
-            return classifiers.train_dt(
-                dataset,
-                max_depth=spec.params.get("max_depth", 10),
-                min_leaf=spec.params.get("min_leaf", 1),
-            )
-        if spec.kind == "random_forest":
-            return classifiers.train_rf(
-                dataset,
-                n_trees=spec.params.get("n_trees", 25),
-                max_depth=spec.params.get("max_depth", 10),
-                seed=seed,
-            )
-        if spec.kind == "svm":
-            return classifiers.train_svm(
-                dataset,
-                lam=spec.params.get("lam", 1e-4),
-                epochs=spec.params.get("epochs", 60),
-                seed=seed,
-            )
-        raise ConfigError(f"unknown model kind {spec.kind!r}")
-
-    return train_fn
-
-
-def feature_predict_fn(model, instance: Instance) -> str:
-    return classifiers.predict(model, instance.payload)
+        return self.kind.name if self.k is None else f"{self.kind.name}{self.k}"
 
 
 def trainer_for(spec: ModelSpec, layout: BinLayout, window_size: int, seed: int = 0):
-    """(train_fn, predict_fn) pair appropriate for the model kind."""
-    if spec.kind == "dfam":
-        return dfam_train_fn(layout, window_size, seed), dfam_predict_fn
-    return feature_train_fn(spec, seed), feature_predict_fn
+    """(train_fn, predict_fn) over instances carrying the spec's window payload."""
+
+    def train_fn(instances: Sequence[Instance]):
+        pairs = [(inst.label, inst.payload) for inst in instances]
+        return spec.kind.train(pairs, layout, window_size, seed, spec.k)
+
+    def predict_fn(model, instance: Instance) -> str:
+        return spec.kind.predict(model, instance.payload)[0]
+
+    return train_fn, predict_fn
 
 
 def instances_for(
@@ -227,9 +141,26 @@ def instances_for(
     cutoff_hz: float | None = DEFAULT_CUTOFF_HZ,
     devices: Sequence[str] = DEVICES,
 ) -> list[Instance]:
-    if spec.kind == "dfam":
-        return signature_instances(recordings, window_size, layout, sensors, cutoff_hz, devices)
-    return feature_instances(recordings, window_size, sensors, cutoff_hz, devices)
+    out = []
+    for rec in recordings:
+        fs = next(iter(rec.series.values())).sample_rate_hz
+        for bundle in prepare_bundles(rec.series, window_size, cutoff_hz, sensors, devices):
+            payload = window_payload(spec.kind, bundle, fs, layout)
+            out.append(Instance(str(rec.label), payload, rec.participant_id, rec.recording_id))
+    return out
+
+
+def signature_instances(
+    recordings: Sequence[Recording],
+    window_size: int,
+    layout: BinLayout,
+    sensors: Sequence[str] = SENSORS,
+    cutoff_hz: float | None = DEFAULT_CUTOFF_HZ,
+    devices: Sequence[str] = DEVICES,
+) -> list[Instance]:
+    return instances_for(
+        ModelSpec.parse("dfam"), recordings, window_size, layout, sensors, cutoff_hz, devices
+    )
 
 
 # --------------------------------------------------------- hierarchy helpers
@@ -270,13 +201,6 @@ def relabel_distracted(instances: Sequence[Instance]) -> list[Instance]:
 
 
 # --------------------------------------------------------- model file dispatch
-
-def save_any_model(model, path) -> None:
-    if isinstance(model, DfamModel):
-        dfam.save_model(model, path)
-    else:
-        classifiers.save_feature_model(model, path)
-
 
 def load_any_model(path):
     with open(path, "r", encoding="utf-8") as fh:

@@ -44,13 +44,8 @@ def corpora():
 def _dfam_kfold_accuracy(recordings, g, w, sensors=("acc", "gyr")):
     layout = BinLayout.equal_width(g, FS)
     instances = pipeline.signature_instances(recordings, w, layout, sensors=sensors)
-    report = kfold(
-        instances,
-        pipeline.dfam_train_fn(layout, w, seed=0),
-        pipeline.dfam_predict_fn,
-        k=10,
-        seed=0,
-    )
+    train_fn, predict_fn = pipeline.trainer_for(pipeline.ModelSpec.parse("dfam"), layout, w, 0)
+    report = kfold(instances, train_fn, predict_fn, k=10, seed=0)
     return report.accuracy
 
 
@@ -278,8 +273,9 @@ def _hierarchy_models(w=128):
         seed=321,
     )
     instances = pipeline.signature_instances(train_recs, w, layout)
-    s1 = pipeline.dfam_train_fn(layout, w, 0)(pipeline.relabel_moving(instances))
-    s3 = pipeline.dfam_train_fn(layout, w, 0)(pipeline.relabel_distracted(instances))
+    train_fn, _ = pipeline.trainer_for(pipeline.ModelSpec.parse("dfam"), layout, w, 0)
+    s1 = train_fn(pipeline.relabel_moving(instances))
+    s3 = train_fn(pipeline.relabel_distracted(instances))
     return s1, s3
 
 

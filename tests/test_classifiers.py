@@ -332,6 +332,10 @@ def test_loads_feature_model_errors():
         loads_feature_model("MODEL v1 kind=perceptron\n{}")
     with pytest.raises(ParseError):
         loads_feature_model("MODEL v1 kind=knn\nnot-json")
+    for body in ("{}", '{"labels": [], "schema": [], "params": []}', "[]"):
+        with pytest.raises(ParseError) as e:
+            loads_feature_model("MODEL v1 kind=knn\n" + body)
+        assert e.value.line == 2
 
 
 def test_one_nn_self_test_accuracy():

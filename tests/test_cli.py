@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from dfam_car.cli import main
+from dfam_car.cli import REPORT_COLUMNS, _read_context, main
+from dfam_car.errors import ParseError
+from dfam_car.pipeline import ModelSpec
 
 
 def read_bytes_tree(root):
@@ -109,6 +111,11 @@ def test_evaluate_kfold_cell_counts(tmp_path, corpus):
     payload = json.loads(json_out.read_text(encoding="utf-8"))
     assert len(payload) == 4
     assert all(0.0 <= cell["report"]["accuracy"] <= 1.0 for cell in payload)
+    text = ("protocol", "model", "sensors", "mean_participant_accuracy")  # the last is loso-only
+    for r in rows:
+        for c in REPORT_COLUMNS:
+            if c not in text:
+                float(r[c])  # rejects text such as np.float64(0.5)
 
 
 def test_evaluate_deterministic(tmp_path, corpus):
@@ -142,17 +149,6 @@ def test_evaluate_loocv_blocks_per_recording(tmp_path, corpus):
     assert int(rows[0]["n"]) == 2 * 20 * (500 // 128)
 
 
-def test_thread_cap_env(tmp_path, corpus, capsys, monkeypatch):
-    out = tmp_path / "cells.csv"
-    argv = ["evaluate", "--corpus", str(corpus), "--protocol", "kfold", "--k", "5",
-            "--models", "dfam", "--W", "64", "--g", "3", "--out", str(out)]
-    monkeypatch.setenv("DFAM_CAR_THREADS", "1")
-    assert main(argv) == 0
-    monkeypatch.setenv("DFAM_CAR_THREADS", "zero")
-    assert main(argv) == 1
-    assert "DFAM_CAR_THREADS" in capsys.readouterr().err
-
-
 def test_replay_flow(tmp_path, corpus):
     s1 = tmp_path / "s1.dfam"
     s3 = tmp_path / "s3.dfam"
@@ -180,6 +176,41 @@ def test_replay_flow(tmp_path, corpus):
     events = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
     for ev in events:
         assert ev["state"] in ("S2", "S3")
+
+
+@pytest.mark.parametrize("row", ["x1,1", "0"])
+def test_replay_context_bad_row(tmp_path, row):
+    context = tmp_path / "context.csv"
+    context.write_text(f"window_index,smartphone_in_use\n0,0\n{row}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as e:
+        _read_context(context)
+    assert e.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "spec, header",
+    [
+        ("dfam", "DFAM v1 W=128 "),
+        ("nb", "MODEL v1 kind=naive_bayes"),
+        ("knn3", "MODEL v1 kind=knn"),
+        ("dt", "MODEL v1 kind=decision_tree"),
+        ("rf", "MODEL v1 kind=random_forest"),
+        ("svm", "MODEL v1 kind=svm"),
+    ],
+)
+def test_model_kinds_train_and_classify(tmp_path, corpus, spec, header):
+    assert str(ModelSpec.parse(spec)) == spec
+    model = tmp_path / "m"
+    rc = main(["train", "--corpus", str(corpus), "--model", spec, "--W", "128",
+               "--out", str(model)])
+    assert rc == 0
+    assert model.read_text(encoding="utf-8").split("\n", 1)[0].startswith(header)
+    recording = next(p for p in sorted(corpus.iterdir()) if p.name != "labels.csv")
+    out = tmp_path / "labels.csv"
+    rc = main(["classify", "--model-file", str(model), "--recording", str(recording),
+               "--out", str(out)])
+    assert rc == 0
+    assert len(list(csv.DictReader(out.open()))) == 500 // 128
 
 
 def test_bench_smoke(tmp_path):
