@@ -13,7 +13,7 @@ from . import classifiers, evaluate, pipeline, synth
 from .dfam import BinLayout, DfamModel
 from .errors import CarError, ConfigError, ParseError
 from .hierarchy import DEFAULT_RESET_PERIOD, HierarchicalCar, write_events_jsonl
-from .signals import DEFAULT_CUTOFF_HZ, DEVICES, SENSORS, read_recording
+from .signals import DEFAULT_CUTOFF_HZ, DEVICES, SENSORS, csv_rows, read_recording
 
 STANDARD_WINDOW_SIZES = (32, 64, 128, 256, 512)
 
@@ -140,6 +140,8 @@ def cmd_classify(args) -> int:
     sensors = _validate_sensors(_comma_list(args.sensors))
     series = read_recording(args.recording, args.fs, sensors)
     window_size, fs, layout = kind.windowing(model, args.W, args.fs)
+    if args.W not in (None, window_size):
+        raise ConfigError(f"--W {args.W} differs from the model's window size {window_size}")
     if window_size is None:
         raise ConfigError("feature model file carries no window size; pass --W")
     bundles = pipeline.prepare_bundles(series, int(window_size), args.cutoff, sensors)
@@ -223,18 +225,11 @@ def cmd_evaluate(args) -> int:
 
 def _read_context(path) -> dict[int, bool]:
     flags: dict[int, bool] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["window_index", "smartphone_in_use"]:
-            raise ParseError(f"bad context header {header!r}", 1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                flags[int(row[0])] = row[1].strip().lower() in ("1", "true", "yes")
-            except (IndexError, ValueError):
-                raise ParseError(f"bad context row {row!r}", lineno) from None
+    for lineno, (index, in_use) in csv_rows(path, ("window_index", "smartphone_in_use")):
+        try:
+            flags[int(index)] = in_use.strip().lower() in ("1", "true", "yes")
+        except ValueError:
+            raise ParseError(f"bad window index {index!r}", lineno, path) from None
     return flags
 
 
@@ -339,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="label a recording window by window")
     p.add_argument("--model-file", required=True)
     p.add_argument("--recording", required=True)
-    p.add_argument("--W", type=int, default=None, help="override window size (feature models)")
+    p.add_argument("--W", type=int, default=None, help="window size; a DFAM model's must match")
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_classify)

@@ -26,8 +26,11 @@ class TrainingError(CarError):
 
 
 class ParseError(CarError):
-    """A file could not be parsed. Carries the offending line number."""
+    """A file could not be parsed. Carries the file and the offending line number."""
 
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None = None, path=None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message if path is None else f"{path}: {message}")
         self.line = line
+        self.path = path

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -26,38 +25,42 @@ from .signals import (
     Spectrum,
     TimeSeries,
     Window,
+    csv_rows,
     low_pass_filter,
     read_recording,
     spectrum,
     window_bundles,
 )
-from .synth import Recording
+from .synth import LABEL_FIELDS, Recording
 
 
 def load_corpus(
     corpus_dir, sample_rate_hz: float = 50.0, sensors: Sequence[str] = SENSORS
 ) -> list[Recording]:
-    """Read labels.csv plus one CSV per recording from a corpus directory."""
+    """Read labels.csv plus one CSV per recording from a corpus directory.
+
+    Each recording_id is listed once and names a file <id>.csv in the directory.
+    """
     root = Path(corpus_dir)
     labels_path = root / "labels.csv"
     if not labels_path.exists():
         raise ParseError(f"missing labels file {labels_path}")
     recordings = []
-    with open(labels_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["recording_id", "participant_id", "label", "placement"]:
-            raise ParseError(f"bad labels header {header!r}", 1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", lineno)
-            rec_id, participant, label_text, placement = row
-            series = read_recording(root / f"{rec_id}.csv", sample_rate_hz, sensors)
-            recordings.append(
-                Recording(rec_id, participant, ActivityLabel.parse(label_text), placement, series)
-            )
+    seen: set[str] = set()
+    for lineno, (rec_id, participant, label_text, placement) in csv_rows(labels_path, LABEL_FIELDS):
+        path = root / f"{rec_id}.csv"
+        # the id names a file directly in root (an absolute path holds a separator)
+        if rec_id == ".." or "/" in rec_id or "\\" in rec_id or not path.is_file():
+            raise ParseError(f"no recording file for {rec_id!r} in the corpus", lineno, labels_path)
+        if rec_id in seen:
+            raise ParseError(f"recording_id {rec_id!r} is listed twice", lineno, labels_path)
+        seen.add(rec_id)
+        try:
+            label = ActivityLabel.parse(label_text)
+        except ConfigError as exc:
+            raise ParseError(str(exc), lineno, labels_path) from None
+        series = read_recording(path, sample_rate_hz, sensors)
+        recordings.append(Recording(rec_id, participant, label, placement, series))
     return recordings
 
 

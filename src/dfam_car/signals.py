@@ -6,7 +6,7 @@ read-only so instances can be shared freely across threads.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -51,16 +51,6 @@ def _readonly(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class SensorRecord:
-    timestamp_ms: float
-    device: str
-    sensor: str
-    x: float
-    y: float
-    z: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,48 +182,45 @@ def window_bundles(
     return [{ch: per_channel[ch][i] for ch in channels} for i in range(n)]
 
 
-def _parse_float(text: str, what: str, line: int) -> float:
+def csv_rows(path, header: tuple[str, ...]):
+    """Yield (lineno, fields) for every non-blank row after the header.
+
+    The format is the one this package writes: UTF-8, comma-separated, no
+    quoting; LF or CRLF line endings. Each ParseError names file and line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8", line, path) from None
+    if not text:
+        raise ParseError("empty file", 1, path)
+    lines = text.split("\n")
+    if tuple(f.strip() for f in lines[0].split(",")) != header:
+        raise ParseError(f"bad header {lines[0]!r}, expected {','.join(header)}", 1, path)
+    n = len(header)
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.removesuffix("\r")
+        if not line:
+            continue
+        if '"' in line:
+            raise ParseError("quoted field; fields are never quoted", lineno, path)
+        fields = line.split(",")
+        if len(fields) != n:
+            raise ParseError(f"expected {n} fields, got {len(fields)}", lineno, path)
+        yield lineno, fields
+
+
+def _parse_float(text: str, what: str, line: int, path) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ParseError(f"bad {what} {text!r}", line) from None
-    if not np.isfinite(value):
-        raise ParseError(f"non-finite {what} {text!r}", line)
+        raise ParseError(f"bad {what} {text!r}", line, path) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite {what} {text!r}", line, path)
     return value
-
-
-def iter_records(path):
-    """Yield SensorRecord rows from a session CSV, validating as it goes.
-
-    Expected header: timestamp_ms,device,sensor,x,y,z. Timestamps within one
-    (device, sensor) stream must be non-decreasing.
-    """
-    last_ts: dict[tuple[str, str], float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", 1) from None
-        if tuple(h.strip() for h in header) != CSV_FIELDS:
-            raise ParseError(f"bad header {header!r}, expected {','.join(CSV_FIELDS)}", 1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise ParseError(f"expected 6 fields, got {len(row)}", lineno)
-            ts = _parse_float(row[0], "timestamp", lineno)
-            device, sensor = row[1].strip(), row[2].strip()
-            if device not in DEVICES:
-                raise ParseError(f"unknown device {device!r}", lineno)
-            if sensor not in SENSORS:
-                raise ParseError(f"unknown sensor {sensor!r}", lineno)
-            x, y, z = (_parse_float(row[i], "sample", lineno) for i in (3, 4, 5))
-            key = (device, sensor)
-            if key in last_ts and ts < last_ts[key]:
-                raise ParseError(f"timestamp went backwards for {device}/{sensor}", lineno)
-            last_ts[key] = ts
-            yield SensorRecord(ts, device, sensor, x, y, z)
 
 
 def read_recording(
@@ -243,16 +230,34 @@ def read_recording(
 ) -> dict[Channel, TimeSeries]:
     """Read one recording session CSV into per-channel series.
 
-    Samples are assumed uniform at the declared rate (no resampling).
+    Header: timestamp_ms,device,sensor,x,y,z. Timestamps within one
+    (device, sensor) stream must be non-decreasing. Samples are assumed
+    uniform at the declared rate (no resampling).
     """
-    wanted = set(sensors)
-    samples: dict[tuple[str, str], list[tuple[float, float, float]]] = {}
-    for rec in iter_records(path):
-        if rec.sensor in wanted:
-            samples.setdefault((rec.device, rec.sensor), []).append((rec.x, rec.y, rec.z))
+    last_ts: dict[tuple[str, str], float] = {}
+    samples: dict[tuple[str, str], list[float]] = {}
+    for lineno, (ts, device, sensor, x, y, z) in csv_rows(path, CSV_FIELDS):
+        ts = _parse_float(ts, "timestamp", lineno, path)
+        device, sensor = device.strip(), sensor.strip()
+        key = (device, sensor)
+        if device not in DEVICES:
+            raise ParseError(f"unknown device {device!r}", lineno, path)
+        if sensor not in SENSORS:
+            raise ParseError(f"unknown sensor {sensor!r}", lineno, path)
+        xyz = (
+            _parse_float(x, "sample", lineno, path),
+            _parse_float(y, "sample", lineno, path),
+            _parse_float(z, "sample", lineno, path),
+        )
+        if ts < last_ts.get(key, ts):
+            raise ParseError(f"timestamp went backwards for {device}/{sensor}", lineno, path)
+        last_ts[key] = ts
+        samples.setdefault(key, []).extend(xyz)
     out: dict[Channel, TimeSeries] = {}
-    for (device, sensor), rows in sorted(samples.items()):
-        arr = np.asarray(rows, dtype=np.float64)
+    for (device, sensor), flat in sorted(samples.items()):
+        if sensor not in sensors:
+            continue
+        arr = np.array(flat, dtype=np.float64).reshape(-1, 3)
         for j, axis in enumerate(AXES):
             ch = Channel(device, sensor, axis)
             out[ch] = TimeSeries(ch, sample_rate_hz, arr[:, j])
@@ -268,24 +273,13 @@ def write_recording(path, series_by_channel: Mapping[Channel, TimeSeries]) -> No
     for (device, sensor), by_axis in sorted(groups.items()):
         if set(by_axis) != set(AXES):
             raise AlignmentError(f"{device}/{sensor} is missing an axis")
-        n = {len(s) for s in by_axis.values()}
-        if len(n) != 1:
+        if len({len(s) for s in by_axis.values()}) != 1:
             raise AlignmentError(f"{device}/{sensor} axes have differing lengths")
         rate = by_axis["x"].sample_rate_hz
-        for i in range(n.pop()):
-            ts = round(i * 1000.0 / rate)
-            rows.append(
-                (
-                    ts,
-                    device,
-                    sensor,
-                    repr(float(by_axis["x"].values[i])),
-                    repr(float(by_axis["y"].values[i])),
-                    repr(float(by_axis["z"].values[i])),
-                )
-            )
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+        samples = zip(*(by_axis[axis].values.tolist() for axis in AXES))
+        rows += ((round(i * 1000.0 / rate), device, sensor, *xyz) for i, xyz in enumerate(samples))
+    rows.sort(key=lambda r: r[:3])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_FIELDS) + "\n")
         for ts, device, sensor, x, y, z in rows:
-            fh.write(f"{ts},{device},{sensor},{x},{y},{z}\n")
+            fh.write(f"{ts},{device},{sensor},{x!r},{y!r},{z!r}\n")

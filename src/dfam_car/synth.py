@@ -191,6 +191,9 @@ def default_activity_set() -> tuple[ActivityLabel, ...]:
     return simple + concurrent
 
 
+LABEL_FIELDS = ("recording_id", "participant_id", "label", "placement")
+
+
 @dataclass(frozen=True, eq=False)
 class Recording:
     recording_id: str
@@ -244,6 +247,6 @@ def write_corpus(recordings: Sequence[Recording], out_dir) -> None:
         write_recording(out / f"{rec.recording_id}.csv", rec.series)
         rows.append((rec.recording_id, rec.participant_id, str(rec.label), rec.placement))
     with open(out / "labels.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("recording_id,participant_id,label,placement\n")
+        fh.write(",".join(LABEL_FIELDS) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")

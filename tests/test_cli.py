@@ -73,7 +73,7 @@ def test_train_rejects_nonstandard_w(tmp_path, corpus, capsys):
     assert "allow-any-w" in capsys.readouterr().err
 
 
-def test_classify_recording(tmp_path, corpus):
+def test_classify_recording(tmp_path, corpus, capsys):
     model_path = tmp_path / "m.dfam"
     main(
         ["train", "--corpus", str(corpus), "--model", "dfam", "--W", "64",
@@ -88,6 +88,12 @@ def test_classify_recording(tmp_path, corpus):
     assert rc == 0
     rows = list(csv.DictReader(out.open()))
     assert len(rows) == 500 // 64
+    # a DFAM model windows recordings at its own W; another --W is an error
+    argv = ["classify", "--model-file", str(model_path), "--recording", str(recording),
+            "--out", str(tmp_path / "other.csv")]
+    assert main(argv + ["--W", "64"]) == 0
+    assert main(argv + ["--W", "128"]) == 1
+    assert "window size 64" in capsys.readouterr().err
     truth = recording.name.split("_", 1)[1].rsplit("_", 1)[0]
     correct = sum(1 for r in rows if r["label"] == truth)
     assert correct >= len(rows) // 2  # model saw this recording during training
@@ -178,7 +184,7 @@ def test_replay_flow(tmp_path, corpus):
         assert ev["state"] in ("S2", "S3")
 
 
-@pytest.mark.parametrize("row", ["x1,1", "0"])
+@pytest.mark.parametrize("row", ["x1,1", "0", "0,1,1"])
 def test_replay_context_bad_row(tmp_path, row):
     context = tmp_path / "context.csv"
     context.write_text(f"window_index,smartphone_in_use\n0,0\n{row}\n", encoding="utf-8")
@@ -211,6 +217,12 @@ def test_model_kinds_train_and_classify(tmp_path, corpus, spec, header):
                "--out", str(out)])
     assert rc == 0
     assert len(list(csv.DictReader(out.open()))) == 500 // 128
+    # --W overrides a feature model's window size and must match a DFAM model's
+    rc = main(["classify", "--model-file", str(model), "--recording", str(recording),
+               "--W", "64", "--out", str(out)])
+    assert rc == (1 if spec == "dfam" else 0)
+    if rc == 0:
+        assert len(list(csv.DictReader(out.open()))) == 500 // 64
 
 
 def test_bench_smoke(tmp_path):

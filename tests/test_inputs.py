@@ -1,0 +1,141 @@
+"""The three CSV inputs: recordings, labels.csv and the replay context.
+
+Every reader either returns or raises a CarError, whatever bytes it is given.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import series
+from dfam_car.cli import _read_context
+from dfam_car.errors import CarError, ParseError
+from dfam_car.pipeline import load_corpus
+from dfam_car.signals import all_channels, read_recording, write_recording
+
+LABELS_HEADER = b"recording_id,participant_id,label,placement\n"
+RECORDING_HEADER = b"timestamp_ms,device,sensor,x,y,z\n"
+CONTEXT_HEADER = b"window_index,smartphone_in_use\n"
+
+# Pieces that make near-valid rows, plus the bytes the format rejects.
+COMMON_TOKENS = (
+    b",", b",", b",", b"\n", b"\n", b"\r\n", b"\r", b"", b" ", b'"', b"\xff", b"\xc3\xa9", b"\x00",
+)
+RECORDING_TOKENS = COMMON_TOKENS + (
+    b"0", b"20", b"-1.5", b"1e308", b"1e999", b"nan", b"inf", b"1_0",
+    b"phone", b"watch", b"acc", b"gyr", b"tablet",
+    b"0,phone,acc,1,2,3\n", b"20,watch,gyr,0.5,-2,3\r\n",
+)
+LABEL_TOKENS = COMMON_TOKENS + (
+    b"r1", b"r2", b"..", b"/", b"\\", b"/abs/r1", b"p00", b"walking", b"walking+eating",
+    b"flying", b"walking+eating+x", b"RR", b"r1,p00,walking,RR\n",
+)
+CONTEXT_TOKENS = COMMON_TOKENS + (
+    b"0", b"1", b"-3", b"x", b"true", b"yes", b"1_0", b"9" * 5000, b"0,1\n",
+)
+
+
+def csv_bytes(header: bytes, tokens) -> st.SearchStrategy[bytes]:
+    """Arbitrary bytes, or the header followed by a mix of tokens and raw bytes."""
+    piece = st.one_of(st.sampled_from(tokens), st.binary(max_size=4))
+    return st.one_of(
+        st.binary(max_size=64),
+        st.lists(piece, max_size=40).map(lambda pieces: header + b"".join(pieces)),
+    )
+
+
+def returns_or_raises_car_error(read, *args):
+    try:
+        read(*args)
+    except CarError:
+        pass
+
+
+def write_small_recording(path):
+    rng = np.random.default_rng(0)
+    write_recording(path, {ch: series(rng.normal(size=8), ch) for ch in all_channels()})
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("inputs")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=csv_bytes(RECORDING_HEADER, RECORDING_TOKENS))
+@example(data=RECORDING_HEADER + b"0,phone,acc,1,2,\xff\n")
+@example(data=RECORDING_HEADER + b'0,phone,acc,"1",2,3\r\n')
+def test_fuzz_read_recording(scratch, data):
+    path = scratch / "recording.csv"
+    path.write_bytes(data)
+    returns_or_raises_car_error(read_recording, path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=csv_bytes(LABELS_HEADER, LABEL_TOKENS))
+@example(data=LABELS_HEADER + b"r1,p00,walking,\xff\n")
+@example(data=LABELS_HEADER + b"r9,p00,walking,RR\r\n")
+def test_fuzz_load_corpus(scratch, data):
+    corpus = scratch / "corpus"
+    if not corpus.exists():
+        corpus.mkdir()
+        write_small_recording(corpus / "r1.csv")
+    (corpus / "labels.csv").write_bytes(data)
+    returns_or_raises_car_error(load_corpus, corpus)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=csv_bytes(CONTEXT_HEADER, CONTEXT_TOKENS))
+@example(data=CONTEXT_HEADER + b"0,\xff\n")
+@example(data=CONTEXT_HEADER + b'"0",1\r\n')
+def test_fuzz_read_context(scratch, data):
+    path = scratch / "context.csv"
+    path.write_bytes(data)
+    returns_or_raises_car_error(_read_context, path)
+
+
+def write_corpus_labels(corpus, *rows):
+    corpus.mkdir(exist_ok=True)
+    write_small_recording(corpus / "r1.csv")
+    text = "".join(row + "\n" for row in rows)
+    (corpus / "labels.csv").write_bytes(LABELS_HEADER + text.encode())
+
+
+def test_labels_well_formed(tmp_path):
+    write_corpus_labels(tmp_path, "r1,p00,walking+eating,RR")
+    (rec,) = load_corpus(tmp_path)
+    assert (rec.recording_id, rec.participant_id, str(rec.label), rec.placement) == (
+        "r1", "p00", "walking+eating", "RR"
+    )
+    assert len(rec.series) == 12
+
+
+def test_labels_unknown_activity(tmp_path):
+    write_corpus_labels(tmp_path, "", "r1,p00,flying,RR")
+    with pytest.raises(ParseError) as e:
+        load_corpus(tmp_path)
+    assert e.value.line == 3
+    assert "labels.csv" in str(e.value)
+
+
+@pytest.mark.parametrize("rec_id", ["../outside", "sub\\r1", "..", "absolute"])
+def test_labels_recording_id_outside_corpus(tmp_path, rec_id):
+    # every id names a readable recording, so only the id check can refuse it
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for path in (tmp_path / "outside.csv", corpus / "sub\\r1.csv", corpus / "...csv"):
+        write_small_recording(path)
+    if rec_id == "absolute":
+        rec_id = str(tmp_path / "outside")
+    write_corpus_labels(corpus, "r1,p00,walking,RR", f"{rec_id},p00,walking,RR")
+    with pytest.raises(ParseError) as e:
+        load_corpus(corpus)
+    assert e.value.line == 3
+
+
+def test_labels_duplicate_recording_id(tmp_path):
+    write_corpus_labels(tmp_path, "r1,p00,walking,RR", "", "r1,p00,walking,RR")
+    with pytest.raises(ParseError) as e:
+        load_corpus(tmp_path)
+    assert e.value.line == 4

@@ -186,19 +186,15 @@ def test_recording_roundtrip(tmp_path):
     assert len(acc_only) == 6
 
 
-def test_iter_records_yields_rows(tmp_path):
-    from dfam_car.signals import SensorRecord, iter_records
-
-    path = tmp_path / "rec.csv"
-    path.write_text(
-        "timestamp_ms,device,sensor,x,y,z\n"
-        "0,phone,acc,1.0,2.0,3.0\n"
-        "0,watch,gyr,-0.5,0.25,0.0\n",
-        encoding="utf-8",
-    )
-    rows = list(iter_records(path))
-    assert rows[0] == SensorRecord(0.0, "phone", "acc", 1.0, 2.0, 3.0)
-    assert rows[1].device == "watch" and rows[1].sensor == "gyr"
+def test_crlf_recording_reads_like_lf(tmp_path):
+    rng = np.random.default_rng(4)
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    write_recording(lf, {ch: series(rng.normal(size=20), ch) for ch in all_channels()})
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    a, b = read_recording(lf, FS), read_recording(crlf, FS)
+    assert list(a) == list(b)
+    for ch in a:
+        assert np.array_equal(a[ch].values, b[ch].values)
 
 
 def test_read_recording_parse_errors(tmp_path):
@@ -234,3 +230,16 @@ def test_read_recording_parse_errors(tmp_path):
     with pytest.raises(ParseError) as e:
         read_recording(path)
     assert e.value.line == 2
+
+    path.write_text('timestamp_ms,device,sensor,x,y,z\n0,phone,acc,"1",2,3\n', encoding="utf-8")
+    with pytest.raises(ParseError) as e:
+        read_recording(path)
+    assert e.value.line == 2
+
+    path.write_bytes(
+        b"timestamp_ms,device,sensor,x,y,z\n0,phone,acc,1,2,3\n20,phone,acc,1,2,\xff\n"
+    )
+    with pytest.raises(ParseError) as e:
+        read_recording(path)
+    assert e.value.line == 3
+    assert str(path) in str(e.value)
