@@ -20,6 +20,7 @@ import numpy as np
 from . import dfam
 from .errors import ConfigError, ParseError, TrainingError
 from .features import FeatureVector, Schema
+from .signals import read_utf8
 
 _VAR_FLOOR = 1e-9
 
@@ -400,29 +401,32 @@ def dumps_feature_model(model: FeatureModel) -> str:
     return f"MODEL v1 kind={model.kind}\n" + json.dumps(body, sort_keys=True) + "\n"
 
 
-def loads_feature_model(text: str) -> FeatureModel:
+def loads_feature_model(text: str, path=None) -> FeatureModel:
+    """Parse dumps_feature_model's text; path, if given, is named in every ParseError."""
     lines = text.split("\n", 1)
     header = lines[0].split()
     if header[:2] != ["MODEL", "v1"] or len(header) != 3 or not header[2].startswith("kind="):
-        raise ParseError(f"bad model header {lines[0]!r}", 1)
+        raise ParseError(f"bad model header {lines[0]!r}", 1, path)
     stored = header[2][len("kind=") :]
     kind = _BY_STORED.get(stored)
     if kind is None or kind.signature:
-        raise ParseError(f"unknown model kind {stored!r}", 1)
+        raise ParseError(f"unknown model kind {stored!r}", 1, path)
     try:
         body = json.loads(lines[1])
-    except (IndexError, json.JSONDecodeError):
-        raise ParseError("bad model body", 2) from None
+    except (IndexError, json.JSONDecodeError, RecursionError):
+        raise ParseError("bad model body", 2, path) from None
     fields = (("labels", list), ("schema", list), ("params", dict))
     if not isinstance(body, dict) or any(not isinstance(body.get(f), t) for f, t in fields):
-        raise ParseError("model body needs a labels list, a schema list and a params object", 2)
+        raise ParseError(
+            "model body needs a labels list, a schema list and a params object", 2, path
+        )
     params = body["params"]
     try:
         for key in kind.array_params:
             params[key] = np.asarray(params[key], dtype=np.float64)
         schema = tuple((name, key) for name, key in body["schema"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("bad model params or schema", 2) from None
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ParseError("bad model params or schema", 2, path) from None
     return FeatureModel(kind.stored, tuple(body["labels"]), schema, params)
 
 
@@ -432,8 +436,7 @@ def save_feature_model(model: FeatureModel, path) -> None:
 
 
 def load_feature_model(path) -> FeatureModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_feature_model(fh.read())
+    return loads_feature_model(read_utf8(path), path)
 
 
 # ----------------------------------------------------------------- model table
@@ -443,10 +446,12 @@ class ModelKind:
     """One model kind: how --model spells it, the kind its files record,
     what a window becomes for it, and how it trains, predicts and saves.
 
-    train(pairs, layout, window_size, seed, k) fits (label, payload) pairs;
+    train(pairs, layout, window_size, seed, k, channels) fits (label, payload)
+    pairs read from the given channels (None: not recorded);
     predict(model, payload) returns (label, score or None); windowing(model,
-    W, fs) gives the window size, sample rate and bin layout a stored model
-    reads recordings with, the W and fs arguments filling what it lacks.
+    W, fs) gives the window size, sample rate, bin layout and channels (None:
+    those --sensors selects) a stored model reads recordings with, the W and
+    fs arguments filling what it lacks.
     """
 
     name: str  # --model spelling
@@ -476,13 +481,15 @@ def _feature_windowing(model, window_size, sample_rate_hz):
         window_size or params.get("window_size"),
         params.get("sample_rate_hz", sample_rate_hz),
         None,
+        None,
     )
 
 
 def _baseline(name, stored, fit, decide, array_params=(), k=None) -> ModelKind:
     """Row of a feature-vector classifier; fit(dataset, seed, k) -> FeatureModel."""
 
-    def train(pairs, layout, window_size, seed, k):
+    def train(pairs, layout, window_size, seed, k, channels):
+        # the schema already names each feature's channel
         model = fit(FeatureDataset.from_vectors(pairs), seed, k)
         # stamp the windowing config so classify can run from the file alone
         params = {**model.params, "window_size": window_size, "sample_rate_hz": layout.sample_rate_hz}
@@ -499,10 +506,12 @@ def _baseline(name, stored, fit, decide, array_params=(), k=None) -> ModelKind:
 MODEL_KINDS = (
     ModelKind(
         "dfam", "dfam", None, True,
-        lambda pairs, layout, w, seed, k: dfam.train_from_signatures(pairs, layout, w, seed),
+        lambda pairs, layout, w, seed, k, channels: dfam.train_from_signatures(
+            pairs, layout, w, seed, channels
+        ),
         _dfam_predict,
         dfam.save_model,
-        lambda m, w, fs: (m.window_size, m.layout.sample_rate_hz, m.layout),
+        lambda m, w, fs: (m.window_size, m.layout.sample_rate_hz, m.layout, m.channels),
     ),
     _baseline(
         "nb", "naive_bayes", lambda d, seed, k: train_nb(d),

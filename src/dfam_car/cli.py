@@ -127,7 +127,8 @@ def cmd_train(args) -> int:
         instances = pipeline.relabel_moving(instances)
     elif args.relabel == "distracted":
         instances = pipeline.relabel_distracted(instances)
-    train_fn, _ = pipeline.trainer_for(spec, layout, args.W, args.seed)
+    channels = pipeline.corpus_channels(recordings, sensors, devices)
+    train_fn, _ = pipeline.trainer_for(spec, layout, args.W, args.seed, channels)
     model = train_fn(sorted(instances, key=lambda i: (i.label, i.block or "", i.participant or "")))
     spec.kind.save(model, args.out)
     print(f"trained {spec} on {len(instances)} instances -> {args.out}")
@@ -139,11 +140,13 @@ def cmd_classify(args) -> int:
     kind = classifiers.kind_of(model)
     sensors = _validate_sensors(_comma_list(args.sensors))
     series = read_recording(args.recording, args.fs, sensors)
-    window_size, fs, layout = kind.windowing(model, args.W, args.fs)
+    window_size, fs, layout, channels = kind.windowing(model, args.W, args.fs)
     if args.W not in (None, window_size):
         raise ConfigError(f"--W {args.W} differs from the model's window size {window_size}")
     if window_size is None:
         raise ConfigError("feature model file carries no window size; pass --W")
+    if channels is not None:
+        series = pipeline.model_series(series, channels)
     bundles = pipeline.prepare_bundles(series, int(window_size), args.cutoff, sensors)
     rows = []
     for bundle in bundles:
@@ -246,6 +249,13 @@ def cmd_replay(args) -> int:
     s1_axes = None
     if args.s1_channels == "phone":
         s1_axes = [i for i, ch in enumerate(channels) if ch.device == "phone"]
+    s1_channels = channels if s1_axes is None else [channels[i] for i in s1_axes]
+    for state, model, fed in (("S1", s1_model, s1_channels), ("S3", s3_model, channels)):
+        if model.channels is not None and list(model.channels) != fed:
+            raise ConfigError(
+                f"the {state} model reads channels {','.join(ch.key for ch in model.channels)}"
+                f" but replay feeds it {','.join(ch.key for ch in fed)}"
+            )
     machine = HierarchicalCar(s1_model, s3_model, args.reset, s1_axes=s1_axes)
     fs = s3_model.layout.sample_rate_hz
     for i, bundle in enumerate(bundles):

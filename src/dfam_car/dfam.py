@@ -9,13 +9,15 @@ c of its s axes. Classification sums scores per label and takes the argmax.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, ParseError, TrainingError
-from .signals import Spectrum
+from .signals import Channel, Spectrum, all_channels, read_utf8
 
 LOCOMOTION = ("standing", "walking", "climbing_stairs", "descending_stairs", "sitting", "running")
 DISTRACTION = ("using_smartphone", "reading", "eating", "drinking")
@@ -69,8 +71,8 @@ class BinLayout:
     def __post_init__(self):
         if self.g < 1:
             raise ConfigError(f"g must be >= 1, got {self.g}")
-        if self.sample_rate_hz <= 0:
-            raise ConfigError("sample_rate_hz must be positive")
+        if not 0.0 < self.sample_rate_hz < math.inf:
+            raise ConfigError("sample_rate_hz must be positive and finite")
         bounds = tuple(float(b) for b in self.boundaries)
         object.__setattr__(self, "boundaries", bounds)
         if len(bounds) != self.g - 1:
@@ -90,8 +92,12 @@ class BinLayout:
         bounds = tuple(nyq * i / g for i in range(1, g))
         return cls(g, bounds, sample_rate_hz)
 
+    @functools.lru_cache(maxsize=256)
     def band_index_ranges(self, window_size: int) -> tuple[tuple[int, int], ...]:
-        """Inclusive DFT index ranges per band; the DC bin is never included."""
+        """Inclusive DFT index ranges per band; the DC bin is never included.
+
+        Cached per (layout, window size): every window of a run asks again.
+        """
         nyq = self.sample_rate_hz / 2.0
         edges = (0.0,) + self.boundaries + (nyq,)
         ranges = []
@@ -114,7 +120,7 @@ class Signature:
     axes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        axes = tuple(tuple(int(k) for k in axis) for axis in self.axes)
+        axes = tuple(tuple(map(int, axis)) for axis in self.axes)
         object.__setattr__(self, "axes", axes)
         if not axes:
             raise ConfigError("signature needs at least one axis")
@@ -146,13 +152,10 @@ def extract_signature(spectra: Sequence[Spectrum], layout: BinLayout) -> Signatu
             f"({spectra[0].sample_rate_hz})"
         )
     ranges = layout.band_index_ranges(spectra[0].window_size)
-    axes = []
-    for sp in spectra:
-        mags = sp.bin_magnitudes
-        axes.append(
-            tuple(lo + int(np.argmax(mags[lo : hi + 1])) for lo, hi in ranges)
-        )
-    return Signature(tuple(axes))
+    mags = np.array([sp.bin_magnitudes for sp in spectra])  # (axes, bins)
+    # argmax returns the first maximum, so ties go to the lowest bin
+    peaks = [(mags[:, lo : hi + 1].argmax(axis=1) + lo).tolist() for lo, hi in ranges]
+    return Signature(tuple(zip(*peaks)))
 
 
 def match_score(test: Signature, train: Signature) -> float:
@@ -175,13 +178,15 @@ class DfamModel:
 
     Axis tuples are interned to small integer codes at construction so that
     classification reduces to integer comparisons; the model is safe to use
-    from many threads at once.
+    from many threads at once. channels, when known, names the signal
+    channel behind each signature axis, in canonical order.
     """
 
     kind: ClassVar[str] = "dfam"  # row of classifiers.MODEL_KINDS, as FeatureModel.kind
     layout: BinLayout
     window_size: int
     instances: tuple[tuple[str, Signature], ...]
+    channels: tuple[Channel, ...] | None = None
 
     def __post_init__(self):
         if not self.instances:
@@ -193,23 +198,33 @@ class DfamModel:
         for _, sig in self.instances:
             if sig.s != s or sig.g != g:
                 raise AlignmentError("training signatures disagree in shape")
+        if self.channels is not None:
+            channels = tuple(self.channels)
+            if len(channels) != s or list(channels) != sorted(set(channels)):
+                raise AlignmentError(
+                    f"model channels must be {s} distinct channels in canonical order"
+                )
+            object.__setattr__(self, "channels", channels)
         labels = tuple(sorted({lbl for lbl, _ in self.instances}))
         counts = {lbl: 0 for lbl in labels}
         for lbl, _ in self.instances:
             counts[lbl] += 1
         intern: dict[tuple[int, ...], int] = {}
-        codes = np.empty((len(self.instances), s), dtype=np.int32)
+        codes = np.empty((s, len(self.instances)), dtype=np.int32)  # axis-major
         label_idx = np.empty(len(self.instances), dtype=np.int32)
         label_pos = {lbl: i for i, lbl in enumerate(labels)}
         for i, (lbl, sig) in enumerate(self.instances):
             label_idx[i] = label_pos[lbl]
             for k, axis in enumerate(sig.axes):
-                codes[i, k] = intern.setdefault(axis, len(intern))
+                codes[k, i] = intern.setdefault(axis, len(intern))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "class_counts", counts)
         object.__setattr__(self, "_intern", intern)
         object.__setattr__(self, "_codes", codes)
         object.__setattr__(self, "_label_idx", label_idx)
+        # (c/s)**s for c = 0..s matched axes: the np.power classify used to
+        # run per instance, on the same doubles, so scores are bitwise equal
+        object.__setattr__(self, "_score_table", np.power(np.arange(s + 1) / s, s))
 
     @property
     def axes(self) -> int:
@@ -236,12 +251,13 @@ def classify(test: Signature, model: DfamModel) -> ClassificationResult:
     codes = np.array(
         [model._intern.get(axis, -1) for axis in test.axes], dtype=np.int32
     )
-    matched = (model._codes == codes).sum(axis=1)
-    inst_scores = np.power(matched / s, s)
-    totals = np.bincount(model._label_idx, weights=inst_scores, minlength=len(model.labels))
-    best = int(np.argmax(totals))
-    scores = {lbl: float(t) for lbl, t in zip(model.labels, totals)}
-    return ClassificationResult(model.labels[best], scores, bool(totals[best] == 0.0))
+    matched = (model._codes == codes[:, None]).sum(axis=0)
+    totals = np.bincount(
+        model._label_idx, weights=model._score_table[matched], minlength=len(model.labels)
+    ).tolist()
+    best = totals.index(max(totals))  # the first maximum, as np.argmax
+    scores = dict(zip(model.labels, totals))
+    return ClassificationResult(model.labels[best], scores, totals[best] == 0.0)
 
 
 def train_from_signatures(
@@ -249,12 +265,14 @@ def train_from_signatures(
     layout: BinLayout,
     window_size: int,
     seed: int = 0,
+    channels: Sequence[Channel] | None = None,
 ) -> DfamModel:
     """Build a model from labeled signatures, equalizing class counts.
 
     Every class is downsampled uniformly at random (seeded) to the smallest
     class count. Instances are stored in canonical (label, signature) order,
-    so the result does not depend on input ordering.
+    so the result does not depend on input ordering. channels, if given,
+    names the channel of each signature axis and is stored in the model.
     """
     by_label: dict[str, list[Signature]] = {}
     for label, sig in pairs:
@@ -272,7 +290,7 @@ def train_from_signatures(
             idx = np.sort(rng.choice(len(sigs), size=min_count, replace=False))
             sigs = [sigs[i] for i in idx]
         kept.extend((label, sig) for sig in sigs)
-    return DfamModel(layout, window_size, tuple(kept))
+    return DfamModel(layout, window_size, tuple(kept), channels)
 
 
 def train(
@@ -296,26 +314,45 @@ def train(
     return train_from_signatures(pairs, layout, window_size, seed)
 
 
+_CHANNEL_BY_KEY = {ch.key: ch for ch in all_channels()}
+
+
 def dumps_model(model: DfamModel) -> str:
-    """Line-oriented text form; round-trips losslessly."""
+    """Line-oriented text form; round-trips losslessly.
+
+    A model that knows its channels is written as DFAM v2, whose header ends
+    in channels=<key>,...; one that does not is written as DFAM v1.
+    """
     bounds = ",".join(repr(b) for b in model.layout.boundaries)
-    lines = [
-        f"DFAM v1 W={model.window_size} fs={model.layout.sample_rate_hz!r} "
+    header = (
+        f"W={model.window_size} fs={model.layout.sample_rate_hz!r} "
         f"g={model.layout.g} axes={model.axes} bounds={bounds}"
-    ]
+    )
+    if model.channels is None:
+        header = f"DFAM v1 {header}"
+    else:
+        header = f"DFAM v2 {header} channels={','.join(ch.key for ch in model.channels)}"
+    lines = [header]
     for label, sig in model.instances:
         body = "|".join(":".join(str(k) for k in axis) for axis in sig.axes)
         lines.append(f"{label};{body}")
     return "\n".join(lines) + "\n"
 
 
-def loads_model(text: str) -> DfamModel:
+# header words: DFAM, the version, then W fs g axes bounds and, in v2, channels
+_HEADER_WORDS = {("DFAM", "v1"): 7, ("DFAM", "v2"): 8}
+
+
+def loads_model(text: str, path=None) -> DfamModel:
+    """Parse dumps_model's text form (v1 or v2); path, if given, is named in
+    every ParseError."""
     lines = text.splitlines()
     if not lines:
-        raise ParseError("empty model file", 1)
+        raise ParseError("empty model file", 1, path)
     header = lines[0].split()
-    if header[:2] != ["DFAM", "v1"] or len(header) != 7:
-        raise ParseError(f"bad model header {lines[0]!r}", 1)
+    bad_header = ParseError(f"bad model header {lines[0]!r}", 1, path)
+    if len(header) != _HEADER_WORDS.get(tuple(header[:2])):
+        raise bad_header
     try:
         fields = dict(part.split("=", 1) for part in header[2:])
         window_size = int(fields["W"])
@@ -323,9 +360,18 @@ def loads_model(text: str) -> DfamModel:
         g = int(fields["g"])
         axes = int(fields["axes"])
         bounds = tuple(float(b) for b in fields["bounds"].split(",")) if fields["bounds"] else ()
+        channels = None
+        if header[1] == "v2":
+            channels = tuple(_CHANNEL_BY_KEY[key] for key in fields["channels"].split(","))
     except (KeyError, ValueError):
-        raise ParseError(f"bad model header {lines[0]!r}", 1) from None
-    layout = BinLayout(g, bounds, fs)
+        raise bad_header from None
+    if window_size < 2 or window_size & (window_size - 1):
+        raise ParseError(f"window size {window_size} is not a power of two", 1, path)
+    try:
+        layout = BinLayout(g, bounds, fs)
+        layout.band_index_ranges(window_size)
+    except (ConfigError, OverflowError) as exc:
+        raise ParseError(str(exc), 1, path) from None
     instances = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -336,11 +382,14 @@ def loads_model(text: str) -> DfamModel:
                 tuple(tuple(int(k) for k in axis.split(":")) for axis in body.split("|"))
             )
         except (ValueError, ConfigError):
-            raise ParseError(f"bad instance line {line!r}", lineno) from None
+            raise ParseError(f"bad instance line {line!r}", lineno, path) from None
         if sig.s != axes or sig.g != g:
-            raise ParseError(f"instance shape {sig.s}x{sig.g} does not match header", lineno)
+            raise ParseError(f"instance shape {sig.s}x{sig.g} does not match header", lineno, path)
         instances.append((label, sig))
-    return DfamModel(layout, window_size, tuple(instances))
+    try:
+        return DfamModel(layout, window_size, tuple(instances), channels)
+    except AlignmentError as exc:  # the header's channels do not fit its axes
+        raise ParseError(str(exc), 1, path) from None
 
 
 def save_model(model: DfamModel, path) -> None:
@@ -349,5 +398,4 @@ def save_model(model: DfamModel, path) -> None:
 
 
 def load_model(path) -> DfamModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_model(fh.read())
+    return loads_model(read_utf8(path), path)

@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 
 from . import classifiers, dfam
 from .dfam import ActivityLabel, BinLayout
-from .errors import ConfigError, ParseError
+from .errors import AlignmentError, ConfigError, ParseError
 from .evaluate import Instance
 from .features import extract_features
 from .hierarchy import (
@@ -72,14 +72,44 @@ def prepare_bundles(
     devices: Sequence[str] = DEVICES,
 ) -> list[dict[Channel, Window]]:
     """Low-pass filter (optional), then segment and align all channels."""
-    selected = {
+    selected = _select(series_by_channel, sensors, devices)
+    if cutoff_hz is not None:
+        selected = {ch: low_pass_filter(s, cutoff_hz) for ch, s in selected.items()}
+    return window_bundles(selected, window_size)
+
+
+def _select(series_by_channel, sensors, devices) -> dict:
+    return {
         ch: s
         for ch, s in series_by_channel.items()
         if ch.sensor in sensors and ch.device in devices
     }
-    if cutoff_hz is not None:
-        selected = {ch: low_pass_filter(s, cutoff_hz) for ch, s in selected.items()}
-    return window_bundles(selected, window_size)
+
+
+def corpus_channels(
+    recordings: Sequence[Recording],
+    sensors: Sequence[str] = SENSORS,
+    devices: Sequence[str] = DEVICES,
+) -> tuple[Channel, ...]:
+    """The channels instances_for windows, in canonical order; the recordings
+    must all have the same ones."""
+    found = {tuple(sorted(_select(rec.series, sensors, devices))) for rec in recordings}
+    if len(found) > 1:
+        raise AlignmentError("recordings carry different channels")
+    return found.pop() if found else ()
+
+
+def model_series(
+    series_by_channel: Mapping[Channel, TimeSeries], channels: Sequence[Channel]
+) -> dict[Channel, TimeSeries]:
+    """The series of exactly the channels a model was trained on."""
+    missing = [ch.key for ch in channels if ch not in series_by_channel]
+    if missing:
+        raise ConfigError(
+            f"the model reads channels {','.join(missing)}, which the recording "
+            "lacks or --sensors leaves out"
+        )
+    return {ch: series_by_channel[ch] for ch in channels}
 
 
 def bundle_spectra(
@@ -122,12 +152,22 @@ class ModelSpec:
         return self.kind.name if self.k is None else f"{self.kind.name}{self.k}"
 
 
-def trainer_for(spec: ModelSpec, layout: BinLayout, window_size: int, seed: int = 0):
-    """(train_fn, predict_fn) over instances carrying the spec's window payload."""
+def trainer_for(
+    spec: ModelSpec,
+    layout: BinLayout,
+    window_size: int,
+    seed: int = 0,
+    channels: Sequence[Channel] | None = None,
+):
+    """(train_fn, predict_fn) over instances carrying the spec's window payload.
+
+    channels, when given, are the channels the instances were windowed from;
+    a DFAM model stores them so that it is never applied to others.
+    """
 
     def train_fn(instances: Sequence[Instance]):
         pairs = [(inst.label, inst.payload) for inst in instances]
-        return spec.kind.train(pairs, layout, window_size, seed, spec.k)
+        return spec.kind.train(pairs, layout, window_size, seed, spec.k, channels)
 
     def predict_fn(model, instance: Instance) -> str:
         return spec.kind.predict(model, instance.payload)[0]
@@ -206,10 +246,12 @@ def relabel_distracted(instances: Sequence[Instance]) -> list[Instance]:
 # --------------------------------------------------------- model file dispatch
 
 def load_any_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    """A DFAM or a feature model file, told apart by the first word of its header."""
+    with open(path, "rb") as fh:
         first = fh.readline()
-    if first.startswith("DFAM v1"):
+    if first.startswith(b"DFAM "):
         return dfam.load_model(path)
-    if first.startswith("MODEL v1"):
+    if first.startswith(b"MODEL "):
         return classifiers.load_feature_model(path)
-    raise ParseError(f"unrecognized model file header {first!r}", 1)
+    text = first.decode("utf-8", errors="replace")
+    raise ParseError(f"unrecognized model file header {text!r}", 1, path)

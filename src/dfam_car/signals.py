@@ -6,6 +6,7 @@ read-only so instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
@@ -112,6 +113,16 @@ class Spectrum:
         return self.bin_width_hz * (self.n_bins - 1)
 
 
+@functools.lru_cache(maxsize=64)
+def _butter_low_pass(cutoff_hz: float, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (b, a) of low_pass_filter, designed once per (cutoff, rate); read-only
+    because every caller shares them."""
+    b, a = _sps.butter(2, cutoff_hz, btype="low", fs=sample_rate_hz)
+    b.setflags(write=False)
+    a.setflags(write=False)
+    return b, a
+
+
 def low_pass_filter(series: TimeSeries, cutoff_hz: float = DEFAULT_CUTOFF_HZ) -> TimeSeries:
     """Second-order Butterworth low-pass (biquad), zero initial state.
 
@@ -123,7 +134,7 @@ def low_pass_filter(series: TimeSeries, cutoff_hz: float = DEFAULT_CUTOFF_HZ) ->
         )
     if not np.all(np.isfinite(series.values)):
         raise DataQualityError(f"non-finite sample in channel {series.channel.key}")
-    b, a = _sps.butter(2, cutoff_hz, btype="low", fs=series.sample_rate_hz)
+    b, a = _butter_low_pass(cutoff_hz, series.sample_rate_hz)
     filtered = _sps.lfilter(b, a, series.values)
     return TimeSeries(series.channel, series.sample_rate_hz, filtered)
 
@@ -182,19 +193,24 @@ def window_bundles(
     return [{ch: per_channel[ch][i] for ch in channels} for i in range(n)]
 
 
+def read_utf8(path) -> str:
+    """A whole file as text; a byte that is not UTF-8 is a ParseError at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8", line, path) from None
+
+
 def csv_rows(path, header: tuple[str, ...]):
     """Yield (lineno, fields) for every non-blank row after the header.
 
     The format is the one this package writes: UTF-8, comma-separated, no
     quoting; LF or CRLF line endings. Each ParseError names file and line.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8", line, path) from None
+    text = read_utf8(path)
     if not text:
         raise ParseError("empty file", 1, path)
     lines = text.split("\n")

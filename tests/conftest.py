@@ -1,8 +1,19 @@
-"""Shared oracles and builders for the test suite."""
+"""Shared oracles and builders for the test suite.
+
+HYPOTHESIS_PROFILE=ci makes the property tests derandomized (the same
+examples on every run) with no deadline, and prints the blob that replays a
+failure; without it hypothesis runs its default profile.
+"""
+
+import os
 
 import numpy as np
+from hypothesis import settings
 
 from dfam_car.signals import Channel, Spectrum, TimeSeries
+
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def dft_magnitudes(values: np.ndarray) -> np.ndarray:

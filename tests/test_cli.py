@@ -4,8 +4,10 @@ import json
 import pytest
 
 from dfam_car.cli import REPORT_COLUMNS, _read_context, main
+from dfam_car.dfam import classify, extract_signature, load_model
 from dfam_car.errors import ParseError
-from dfam_car.pipeline import ModelSpec
+from dfam_car.pipeline import ModelSpec, bundle_spectra, prepare_bundles
+from dfam_car.signals import read_recording
 
 
 def read_bytes_tree(root):
@@ -46,7 +48,11 @@ def test_train_dfam_and_nb(tmp_path, corpus):
          "--g", "3", "--out", str(dfam_path)]
     )
     assert rc == 0
-    assert dfam_path.read_text(encoding="utf-8").startswith("DFAM v1 W=128 fs=50.0 g=3 axes=12")
+    assert dfam_path.read_text(encoding="utf-8").startswith(
+        "DFAM v2 W=128 fs=50.0 g=3 axes=12 bounds=8.333333333333334,16.666666666666668 "
+        "channels=phone_acc_x,phone_acc_y,phone_acc_z,phone_gyr_x,phone_gyr_y,phone_gyr_z,"
+        "watch_acc_x,watch_acc_y,watch_acc_z,watch_gyr_x,watch_gyr_y,watch_gyr_z\n"
+    )
 
     again = tmp_path / "m2.dfam"
     main(
@@ -196,7 +202,7 @@ def test_replay_context_bad_row(tmp_path, row):
 @pytest.mark.parametrize(
     "spec, header",
     [
-        ("dfam", "DFAM v1 W=128 "),
+        ("dfam", "DFAM v2 W=128 "),
         ("nb", "MODEL v1 kind=naive_bayes"),
         ("knn3", "MODEL v1 kind=knn"),
         ("dt", "MODEL v1 kind=decision_tree"),
@@ -256,6 +262,52 @@ def test_malformed_recording_reports_line(tmp_path, capsys):
     )
     assert rc == 1
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text", [b"DFAM v1 W=64 \xff\n", b'MODEL v1 kind=knn\n{"labels": ["\xff"]}\n']
+)
+def test_classify_model_file_not_utf8(tmp_path, corpus, capsys, text):
+    model = tmp_path / "m"
+    model.write_bytes(text)
+    recording = next(p for p in sorted(corpus.iterdir()) if p.name != "labels.csv")
+    rc = main(["classify", "--model-file", str(model), "--recording", str(recording),
+               "--out", str(tmp_path / "out.csv")])
+    assert rc == 1
+    assert "is not UTF-8" in capsys.readouterr().err
+
+
+def test_model_channels_guard_classify_and_replay(tmp_path, corpus, capsys):
+    s1, s3, s3_acc = tmp_path / "s1", tmp_path / "s3", tmp_path / "s3_acc"
+    base = ["train", "--corpus", str(corpus), "--model", "dfam"]
+    assert main(base + ["--devices", "phone", "--relabel", "moving", "--out", str(s1)]) == 0
+    assert main(base + ["--relabel", "distracted", "--out", str(s3)]) == 0
+    assert main(base + ["--sensors", "acc", "--relabel", "distracted", "--out", str(s3_acc)]) == 0
+    assert s1.read_text(encoding="utf-8").split("\n", 1)[0].endswith(
+        " channels=phone_acc_x,phone_acc_y,phone_acc_z,phone_gyr_x,phone_gyr_y,phone_gyr_z"
+    )
+    recording = next(p for p in sorted(corpus.iterdir()) if p.name != "labels.csv")
+    out = tmp_path / "labels.csv"
+    classify_args = ["classify", "--model-file", str(s1), "--recording", str(recording),
+                     "--out", str(out)]
+    # the model's six phone axes are windowed, not all twelve --sensors selects
+    assert main(classify_args) == 0
+    model = load_model(s1)
+    bundles = prepare_bundles(read_recording(recording), 128, devices=("phone",))
+    expected = [classify(extract_signature(bundle_spectra(b, 50.0), model.layout), model).label
+                for b in bundles]
+    assert [row["label"] for row in csv.DictReader(out.open())] == expected
+    # --sensors acc leaves out the model's gyr channels
+    capsys.readouterr()
+    assert main(classify_args + ["--sensors", "acc"]) == 1
+    assert "phone_gyr_x,phone_gyr_y,phone_gyr_z" in capsys.readouterr().err
+    replay = ["replay", "--recording", str(recording), "--s1-model", str(s1),
+              "--out", str(tmp_path / "events.jsonl")]
+    assert main(replay + ["--s3-model", str(s3), "--s1-channels", "phone"]) == 0
+    assert main(replay + ["--s3-model", str(s3)]) == 1  # S1 would get all twelve axes
+    assert "S1 model reads channels" in capsys.readouterr().err
+    assert main(replay + ["--s3-model", str(s3_acc), "--s1-channels", "phone"]) == 1
+    assert "S3 model reads channels" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2():

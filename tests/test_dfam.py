@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import dft_magnitudes, series, tone
 from dfam_car.dfam import (
@@ -17,7 +19,7 @@ from dfam_car.dfam import (
     train_from_signatures,
 )
 from dfam_car.errors import AlignmentError, ConfigError, ParseError, TrainingError
-from dfam_car.signals import segment, spectrum
+from dfam_car.signals import Spectrum, all_channels, segment, spectrum
 
 FS = 50.0
 
@@ -297,3 +299,100 @@ def test_loads_model_errors():
         loads_model(good + "walking;not-numbers\n")
     with pytest.raises(TrainingError):
         loads_model(good)  # no instances
+    for header in (
+        "DFAM v1 W=48 fs=50.0 g=1 axes=2 bounds=",  # W not a power of two
+        "DFAM v1 W=64 fs=nan g=1 axes=2 bounds=",
+        "DFAM v1 W=64 fs=inf g=1 axes=2 bounds=",
+        "DFAM v1 W=4 fs=50.0 g=3 axes=2 bounds=8.3,16.6",  # a band with no bin at W
+        "DFAM v3 W=64 fs=50.0 g=1 axes=2 bounds=",
+    ):
+        with pytest.raises(ParseError) as e:
+            loads_model(header + "\nwalking;1|2\n")
+        assert e.value.line == 1
+
+
+def test_model_channels_roundtrip_and_errors():
+    chans = all_channels(("acc",))[:2]
+    model = train_from_signatures(
+        [("a", sig((1,), (2,)))], BinLayout.equal_width(1, FS), 64, channels=chans
+    )
+    text = dumps_model(model)
+    v2 = "DFAM v2 W=64 fs=50.0 g=1 axes=2 bounds= channels=phone_acc_x,phone_acc_y\n"
+    assert text == v2 + "a;1|2\n"
+    assert loads_model(text).channels == chans
+    assert loads_model(text.replace(v2, "DFAM v1 W=64 fs=50.0 g=1 axes=2 bounds=\n")).channels is None
+    for bad in ("phone_acc_x", "phone_acc_y,phone_acc_x", "phone_acc_x,phone_acc_x",
+                "phone_acc_x,phone_acc_q", ""):
+        with pytest.raises(ParseError) as e:
+            loads_model(text.replace("channels=phone_acc_x,phone_acc_y", f"channels={bad}"))
+        assert e.value.line == 1
+    with pytest.raises(AlignmentError):
+        train_from_signatures([("a", sig((1,), (2,)))], model.layout, 64, channels=chans[:1])
+
+
+# ------------------------------------------------- fast paths against oracles
+
+def first_argmax_signature(rows, ranges):
+    """Per axis and band, the first bin holding the band's largest magnitude."""
+    return tuple(
+        tuple(lo + row[lo : hi + 1].index(max(row[lo : hi + 1])) for lo, hi in ranges)
+        for row in rows
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n_axes=st.integers(1, 12),
+    log_w=st.integers(2, 9),
+    levels=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extract_signature_matches_per_axis_argmax(data, n_axes, log_w, levels, seed):
+    w = 2**log_w
+    g = data.draw(st.integers(1, min(4, w // 2)), label="g")
+    layout = BinLayout.equal_width(g, FS)
+    # few magnitude levels make ties common; one level makes every band flat
+    rows = np.random.default_rng(seed).integers(0, levels, size=(n_axes, w // 2 + 1)).astype(float)
+    got = extract_signature([Spectrum(row, FS / w) for row in rows], layout)
+    assert got.axes == first_argmax_signature(rows.tolist(), layout.band_index_ranges(w))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    s=st.integers(1, 6),
+    g=st.integers(1, 3),
+    n_labels=st.integers(1, 3),
+    n_train=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(s=3, g=1, n_labels=2, n_train=10, seed=177707147)  # totals tie but for the last bit
+def test_classify_matches_summed_match_score(s, g, n_labels, n_train, seed):
+    rng = np.random.default_rng(seed)
+
+    def random_sig(values):
+        return Signature(tuple(tuple(rng.integers(0, values, size=g).tolist()) for _ in range(s)))
+
+    labels = ("a", "b", "c")[:n_labels]
+    pairs = [(labels[i % n_labels], random_sig(2)) for i in range(n_train)]
+    model = train_from_signatures(pairs, BinLayout.equal_width(g, FS), 64, seed=seed % 7)
+    label_idx = [model.labels.index(lbl) for lbl, _ in model.instances]
+    for _ in range(5):
+        test = random_sig(3)  # bin 2 never occurs in training: unseen axes
+        totals = {lbl: 0.0 for lbl in model.labels}
+        for lbl, inst in model.instances:
+            totals[lbl] += match_score(test, inst)
+        best = max(totals.values())
+        result = classify(test, model)
+        assert set(result.scores) == set(totals)
+        assert all(abs(result.scores[k] - v) <= 1e-12 for k, v in totals.items())
+        assert abs(totals[result.label] - best) <= 1e-12
+        assert result.no_match == (best == 0.0)
+        # Totals that tie as fractions can differ in the last bit, so the label
+        # is pinned exactly by the per-instance np.power form on the same doubles.
+        matched = np.array([sum(a == b for a, b in zip(test.axes, inst.axes))
+                            for _, inst in model.instances])
+        per_instance = np.bincount(label_idx, weights=np.power(matched / s, s),
+                                   minlength=len(model.labels))
+        assert [result.scores[k] for k in model.labels] == per_instance.tolist()
+        assert result.label == model.labels[int(np.argmax(per_instance))]

@@ -1,4 +1,5 @@
-"""The three CSV inputs: recordings, labels.csv and the replay context.
+"""The three CSV inputs (recordings, labels.csv and the replay context) and
+the two model file formats (DFAM and MODEL).
 
 Every reader either returns or raises a CarError, whatever bytes it is given.
 """
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import series
 from dfam_car.cli import _read_context
 from dfam_car.errors import CarError, ParseError
-from dfam_car.pipeline import load_corpus
+from dfam_car.pipeline import load_any_model, load_corpus
 from dfam_car.signals import all_channels, read_recording, write_recording
 
 LABELS_HEADER = b"recording_id,participant_id,label,placement\n"
@@ -34,14 +35,32 @@ LABEL_TOKENS = COMMON_TOKENS + (
 CONTEXT_TOKENS = COMMON_TOKENS + (
     b"0", b"1", b"-3", b"x", b"true", b"yes", b"1_0", b"9" * 5000, b"0,1\n",
 )
+DFAM_V1 = b"DFAM v1 W=64 fs=50.0 g=2 axes=2 bounds=12.5\n"
+DFAM_V2 = b"DFAM v2 W=64 fs=50.0 g=2 axes=2 bounds=12.5 channels=phone_acc_x,phone_acc_y\n"
+MODEL_HEADERS = (
+    DFAM_V1, DFAM_V2, b"DFAM ", b"DFAM v2 W=64 ", b"MODEL v1 kind=knn\n",
+    b"MODEL v1 kind=naive_bayes\n", b"MODEL v1 kind=decision_tree\n", b"MODEL ",
+)
+MODEL_TOKENS = COMMON_TOKENS + (
+    # DFAM header words and instance lines
+    b"v1", b"v2", b"W=64", b"W=48", b"W=0", b"fs=50.0", b"fs=nan", b"g=2", b"g=0", b"axes=2",
+    b"bounds=", b"bounds=12.5", b"channels=phone_acc_x,phone_acc_y", b"channels=phone_acc_y",
+    b"watch_gyr_z", b"=", b";", b":", b"|", b"walking", b"walking;1:2|3:4\n", b"a;1:2|1:2\n",
+    b"9" * 5000, b"-1", b"1e999",
+    # MODEL bodies
+    b"{", b"}", b"[", b"]", b'"labels":', b'"schema":', b'"params":', b'"X":', b'"mean":',
+    b'"std":', b'"tree":', b"[[1, 2]]", b"1" + b"0" * 400, b"null", b'{"labels": ["a"], ',
+)
 
 
-def csv_bytes(header: bytes, tokens) -> st.SearchStrategy[bytes]:
-    """Arbitrary bytes, or the header followed by a mix of tokens and raw bytes."""
+def near_valid_bytes(headers: tuple[bytes, ...], tokens) -> st.SearchStrategy[bytes]:
+    """Arbitrary bytes, or a header followed by a mix of tokens and raw bytes."""
     piece = st.one_of(st.sampled_from(tokens), st.binary(max_size=4))
     return st.one_of(
         st.binary(max_size=64),
-        st.lists(piece, max_size=40).map(lambda pieces: header + b"".join(pieces)),
+        st.tuples(st.sampled_from(headers), st.lists(piece, max_size=40)).map(
+            lambda parts: parts[0] + b"".join(parts[1])
+        ),
     )
 
 
@@ -63,7 +82,7 @@ def scratch(tmp_path_factory):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=csv_bytes(RECORDING_HEADER, RECORDING_TOKENS))
+@given(data=near_valid_bytes((RECORDING_HEADER,), RECORDING_TOKENS))
 @example(data=RECORDING_HEADER + b"0,phone,acc,1,2,\xff\n")
 @example(data=RECORDING_HEADER + b'0,phone,acc,"1",2,3\r\n')
 def test_fuzz_read_recording(scratch, data):
@@ -73,7 +92,7 @@ def test_fuzz_read_recording(scratch, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=csv_bytes(LABELS_HEADER, LABEL_TOKENS))
+@given(data=near_valid_bytes((LABELS_HEADER,), LABEL_TOKENS))
 @example(data=LABELS_HEADER + b"r1,p00,walking,\xff\n")
 @example(data=LABELS_HEADER + b"r9,p00,walking,RR\r\n")
 def test_fuzz_load_corpus(scratch, data):
@@ -86,13 +105,49 @@ def test_fuzz_load_corpus(scratch, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=csv_bytes(CONTEXT_HEADER, CONTEXT_TOKENS))
+@given(data=near_valid_bytes((CONTEXT_HEADER,), CONTEXT_TOKENS))
 @example(data=CONTEXT_HEADER + b"0,\xff\n")
 @example(data=CONTEXT_HEADER + b'"0",1\r\n')
 def test_fuzz_read_context(scratch, data):
     path = scratch / "context.csv"
     path.write_bytes(data)
     returns_or_raises_car_error(_read_context, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=near_valid_bytes(MODEL_HEADERS, MODEL_TOKENS))
+@example(data=DFAM_V1 + b"walking;1:2|3:4\n")
+@example(data=DFAM_V2 + b"walking;1:2|3:4\n")
+@example(data=DFAM_V2.replace(b"W=64", b"W=" + str(2**1100).encode()) + b"a;1:2|3:4\n")
+@example(data=b'MODEL v1 kind=knn\n{"labels": [], "schema": [], "params": {"mean": [1'
+         + b"0" * 400 + b'], "std": [], "X": []}}\n')
+@example(data=b"MODEL v1 kind=knn\n" + b"[" * 100_000)
+def test_fuzz_load_any_model(scratch, data):
+    path = scratch / "model"
+    path.write_bytes(data)
+    returns_or_raises_car_error(load_any_model, path)
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"DFAM v1 W=64 \xff\n", 1),
+        (DFAM_V1 + b"walking;1:2|\xff\n", 2),
+        (b'MODEL v1 kind=knn\n{"labels": ["\xff"]}\n', 2),
+        (b"DFAM v1 W=64\n", 1),
+        (DFAM_V1 + b"walking;1:2\n", 2),
+        (b"MODEL v1 kind=knn\nnot-json\n", 2),
+        (b"MODEL v9\n", 1),
+        (b"BOGUS\n", 1),
+    ],
+)
+def test_model_file_errors_name_file_and_line(tmp_path, data, line):
+    path = tmp_path / "model"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as e:
+        load_any_model(path)
+    assert e.value.line == line
+    assert str(e.value).startswith(f"{path}: line {line}: ")
 
 
 def write_corpus_labels(corpus, *rows):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import signal as sps
 
 from conftest import dft_magnitudes, series, tone
@@ -12,6 +14,7 @@ from dfam_car.errors import (
 )
 from dfam_car.signals import (
     Channel,
+    _butter_low_pass,
     TimeSeries,
     all_channels,
     low_pass_filter,
@@ -67,6 +70,27 @@ def test_low_pass_tone_attenuation():
     # monotone roll-off: a tone above cutoff is attenuated strictly more
     # than one at half the cutoff
     assert gains[2] < gains[1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.floats(0.01, 0.99), st.sampled_from([20.0, 50.0, 100.0])),
+        min_size=1, max_size=5,
+    )
+)
+@example(pairs=[(0.4, 50.0), (0.2, 50.0), (0.2, 100.0)])  # 10 Hz at 50 Hz, the default
+def test_cached_low_pass_matches_a_fresh_design(pairs):
+    rng = np.random.default_rng(4)
+    pairs = [(frac * fs / 2.0, fs) for frac, fs in pairs]
+    for cutoff, fs in pairs + pairs[::-1]:  # the second pass reads cached designs
+        x = rng.normal(size=300)
+        b, a = sps.butter(2, cutoff, btype="low", fs=fs)
+        got = low_pass_filter(series(x, fs=fs), cutoff_hz=cutoff).values
+        assert got.tobytes() == sps.lfilter(b, a, x).tobytes()
+    for coeffs in _butter_low_pass(10.0, 50.0):  # shared by every caller
+        with pytest.raises(ValueError):
+            coeffs[0] = 0.0
 
 
 def test_low_pass_invalid_cutoff():
