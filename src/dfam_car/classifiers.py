@@ -413,7 +413,7 @@ def loads_feature_model(text: str, path=None) -> FeatureModel:
         raise ParseError(f"unknown model kind {stored!r}", 1, path)
     try:
         body = json.loads(lines[1])
-    except (IndexError, json.JSONDecodeError, RecursionError):
+    except (IndexError, ValueError, RecursionError):  # ValueError: also an int past 4300 digits
         raise ParseError("bad model body", 2, path) from None
     fields = (("labels", list), ("schema", list), ("params", dict))
     if not isinstance(body, dict) or any(not isinstance(body.get(f), t) for f, t in fields):

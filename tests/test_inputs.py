@@ -122,6 +122,7 @@ def test_fuzz_read_context(scratch, data):
 @example(data=b'MODEL v1 kind=knn\n{"labels": [], "schema": [], "params": {"mean": [1'
          + b"0" * 400 + b'], "std": [], "X": []}}\n')
 @example(data=b"MODEL v1 kind=knn\n" + b"[" * 100_000)
+@example(data=b"MODEL v1 kind=knn\n" + b"9" * 5000)
 def test_fuzz_load_any_model(scratch, data):
     path = scratch / "model"
     path.write_bytes(data)
