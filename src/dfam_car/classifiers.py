@@ -23,6 +23,8 @@ from .features import FeatureVector, Schema
 from .signals import read_utf8
 
 _VAR_FLOOR = 1e-9
+# cap on the (features, rows, labels) prefix-count cells _best_split holds at once
+_SPLIT_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,33 +178,36 @@ def _best_split(X, y, n_labels, feature_ids):
     """Best (feature, midpoint threshold) by Gini gain.
 
     Candidates are midpoints between consecutive distinct sorted values,
-    evaluated with prefix class counts in one sweep per feature; ties keep
-    the first candidate in (feature, threshold) order.
+    evaluated with prefix class counts in one sweep over a block of
+    features at a time; ties keep the first candidate in (feature,
+    threshold) order.
     """
     n = len(y)
     total = np.bincount(y, minlength=n_labels).astype(np.float64)
     parent = _gini(total)
     best = None  # (gain, feature, threshold)
-    for f in feature_ids:
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        boundary = np.nonzero(sv[1:] != sv[:-1])[0]  # split after these rows
-        if len(boundary) == 0:
+    step = max(1, _SPLIT_BLOCK_CELLS // (n * n_labels))
+    for start in range(0, len(feature_ids), step):
+        ids = feature_ids[start : start + step]
+        cols = X[:, ids]
+        order = np.argsort(cols, axis=0, kind="stable")
+        sv = np.take_along_axis(cols, order, axis=0)
+        # split after row r of feature f, feature-major
+        f, r = np.nonzero((sv[1:] != sv[:-1]).T)
+        if len(r) == 0:
             continue
-        onehot = np.zeros((n, n_labels))
-        onehot[np.arange(n), y[order]] = 1.0
-        prefix = np.cumsum(onehot, axis=0)
-        left = prefix[boundary]
-        nl = (boundary + 1).astype(np.float64)
+        onehot = np.zeros((len(ids), n, n_labels))
+        onehot[np.arange(len(ids))[:, None], np.arange(n), y[order.T]] = 1.0
+        left = np.cumsum(onehot, axis=1)[f, r]
+        nl = r + 1.0
         nr = n - nl
         gl = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
         gr = 1.0 - (((total - left) / nr[:, None]) ** 2).sum(axis=1)
         gains = parent - (nl * gl + nr * gr) / n
         i = int(np.argmax(gains))
         if gains[i] > 1e-12 and (best is None or gains[i] > best[0]):
-            thr = (sv[boundary[i]] + sv[boundary[i] + 1]) / 2.0
-            best = (float(gains[i]), int(f), float(thr))
+            thr = (sv[r[i], f[i]] + sv[r[i] + 1, f[i]]) / 2.0
+            best = (float(gains[i]), int(ids[f[i]]), float(thr))
     return best
 
 
@@ -422,12 +427,64 @@ def loads_feature_model(text: str, path=None) -> FeatureModel:
         )
     params = body["params"]
     try:
-        for key in kind.array_params:
+        for key, _ in kind.array_params:
             params[key] = np.asarray(params[key], dtype=np.float64)
         schema = tuple((name, key) for name, key in body["schema"])
     except (KeyError, TypeError, ValueError, OverflowError):
         raise ParseError("bad model params or schema", 2, path) from None
-    return FeatureModel(kind.stored, tuple(body["labels"]), schema, params)
+    labels = tuple(body["labels"])
+    misfit = _misfit(kind, params, labels, len(schema))
+    if misfit:
+        raise ParseError(misfit, 2, path)
+    return FeatureModel(kind.stored, labels, schema, params)
+
+
+def _misfit(kind, params, labels, n_features) -> str | None:
+    """What in a loaded model's params does not fit its labels and schema, or None."""
+    if not labels or not all(isinstance(lbl, str) for lbl in labels):
+        return "model labels must be one or more strings"
+    # the windowing _feature_windowing reads, when the model was stamped with it
+    w, fs = params.get("window_size"), params.get("sample_rate_hz")
+    if w is not None and (type(w) is not int or w < 2):
+        return f"param window_size must be an integer >= 2, got {w!r}"
+    if fs is not None and (type(fs) not in (int, float) or not 0.0 < fs < math.inf):
+        return f"param sample_rate_hz must be a positive finite number, got {fs!r}"
+    sizes = {"F": n_features, "L": len(labels)}
+    for key, dims in kind.array_params:
+        shape = params[key].shape
+        want = "x".join(str(sizes.get(d, d)) for d in dims)
+        if len(shape) != len(dims) or any(sizes.setdefault(d, n) != n for d, n in zip(dims, shape)):
+            return f"param {key} has shape {'x'.join(map(str, shape)) or 'scalar'}, expected {want}"
+    return kind.misfit(params, labels, sizes) if kind.misfit else None
+
+
+def _knn_misfit(params, labels, sizes):
+    n, k, rows = sizes["n"], params.get("k"), params.get("row_labels")
+    if not isinstance(rows, list) or len(rows) != n or not all(r in labels for r in rows):
+        return f"param row_labels must be {n} of the model's labels, one per row of X"
+    if type(k) is not int or not 1 <= k <= n:
+        return f"param k must be an integer from 1 to {n}"
+    return None
+
+
+def _trees_misfit(trees, labels, n_features):
+    """Unless every node of trees is a leaf holding one of labels or a split
+    on one of n_features, what does not fit."""
+    if not isinstance(trees, list) or not trees:
+        return "param trees must be a non-empty list"
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict) and "leaf" in node:
+            if node["leaf"] in labels:
+                continue
+        elif isinstance(node, dict):
+            f, thr = node.get("feature"), node.get("threshold")
+            if type(f) is int and 0 <= f < n_features and type(thr) in (int, float):
+                stack += [node.get("left"), node.get("right")]
+                continue
+        return "tree nodes must be leaves holding a model label or splits on a schema feature"
+    return None
 
 
 def save_feature_model(model: FeatureModel, path) -> None:
@@ -463,7 +520,12 @@ class ModelKind:
     save: Callable
     windowing: Callable
     decide: Callable | None = None  # (FeatureModel, values) -> label
-    array_params: tuple[str, ...] = ()  # params stored as float arrays
+    # (param, shape) of the params stored as float arrays; a shape spells its
+    # axes F (schema features), L (labels) or n (training rows)
+    array_params: tuple[tuple[str, str], ...] = ()
+    # (params, labels, sizes) -> what else in a loaded model's params does not
+    # fit, or None; sizes maps each axis letter of array_params to its length
+    misfit: Callable | None = None
 
 
 def _dfam_predict(model, sig):
@@ -485,7 +547,7 @@ def _feature_windowing(model, window_size, sample_rate_hz):
     )
 
 
-def _baseline(name, stored, fit, decide, array_params=(), k=None) -> ModelKind:
+def _baseline(name, stored, fit, decide, array_params=(), misfit=None, k=None) -> ModelKind:
     """Row of a feature-vector classifier; fit(dataset, seed, k) -> FeatureModel."""
 
     def train(pairs, layout, window_size, seed, k, channels):
@@ -497,7 +559,7 @@ def _baseline(name, stored, fit, decide, array_params=(), k=None) -> ModelKind:
 
     return ModelKind(
         name, stored, k, False, train, _feature_predict, save_feature_model,
-        _feature_windowing, decide, array_params,
+        _feature_windowing, decide, array_params, misfit,
     )
 
 
@@ -516,18 +578,25 @@ MODEL_KINDS = (
     _baseline(
         "nb", "naive_bayes", lambda d, seed, k: train_nb(d),
         lambda m, x: m.labels[int(np.argmax(nb_log_posterior(m, x)))],
-        ("log_prior", "mean", "var"),
+        (("log_prior", "L"), ("mean", "LF"), ("var", "LF")),
     ),
-    _baseline("knn", "knn", lambda d, seed, k: train_knn(d, k), _knn_predict, ("mean", "std", "X"), k=3),
+    _baseline(
+        "knn", "knn", lambda d, seed, k: train_knn(d, k), _knn_predict,
+        (("mean", "F"), ("std", "F"), ("X", "nF")), _knn_misfit, k=3,
+    ),
     _baseline(
         "dt", "decision_tree", lambda d, seed, k: train_dt(d),
         lambda m, x: _tree_predict(m.params["tree"], x),
+        misfit=lambda params, labels, sizes: _trees_misfit([params.get("tree")], labels, sizes["F"]),
     ),
-    _baseline("rf", "random_forest", lambda d, seed, k: train_rf(d, seed=seed), _rf_predict),
+    _baseline(
+        "rf", "random_forest", lambda d, seed, k: train_rf(d, seed=seed), _rf_predict,
+        misfit=lambda params, labels, sizes: _trees_misfit(params.get("trees"), labels, sizes["F"]),
+    ),
     _baseline(
         "svm", "svm", lambda d, seed, k: train_svm(d, epochs=60, seed=seed),
         lambda m, x: m.labels[int(np.argmax(svm_decision_values(m, x)))],
-        ("mean", "std", "W", "b"),
+        (("mean", "F"), ("std", "F"), ("W", "LF"), ("b", "L")),
     ),
 )
 

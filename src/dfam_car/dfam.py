@@ -120,12 +120,23 @@ class Signature:
     axes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        axes = tuple(tuple(map(int, axis)) for axis in self.axes)
-        object.__setattr__(self, "axes", axes)
-        if not axes:
+        object.__setattr__(self, "axes", tuple(tuple(map(int, axis)) for axis in self.axes))
+        self._check_shape()
+
+    @classmethod
+    def of_ints(cls, axes: tuple[tuple[int, ...], ...]) -> "Signature":
+        """A Signature of axis tuples that already hold Python ints: the
+        shape checks without the int() pass over every bin index."""
+        sig = object.__new__(cls)
+        object.__setattr__(sig, "axes", axes)
+        sig._check_shape()
+        return sig
+
+    def _check_shape(self) -> None:
+        if not self.axes:
             raise ConfigError("signature needs at least one axis")
-        g = len(axes[0])
-        if g < 1 or any(len(axis) != g for axis in axes):
+        g = len(self.axes[0])
+        if g < 1 or any(len(axis) != g for axis in self.axes):
             raise ConfigError("all axis tuples must have the same positive length")
 
     @property
@@ -155,7 +166,7 @@ def extract_signature(spectra: Sequence[Spectrum], layout: BinLayout) -> Signatu
     mags = np.array([sp.bin_magnitudes for sp in spectra])  # (axes, bins)
     # argmax returns the first maximum, so ties go to the lowest bin
     peaks = [(mags[:, lo : hi + 1].argmax(axis=1) + lo).tolist() for lo, hi in ranges]
-    return Signature(tuple(zip(*peaks)))
+    return Signature.of_ints(tuple(zip(*peaks)))
 
 
 def match_score(test: Signature, train: Signature) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -10,7 +11,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .errors import AlignmentError
-from .signals import AXES, Channel, Window
+from .signals import AXES, SENSORS, Channel, Window
 
 AXIS_FEATURES = ("mean", "min", "max", "std", "var", "fft_energy", "spectral_entropy")
 SENSOR_FEATURES = ("rms_mag", "corr_xy", "corr_yz", "corr_xz")
@@ -78,6 +79,31 @@ def instantaneous_speed(magnitude: np.ndarray, sample_rate_hz: float) -> np.ndar
     )
 
 
+_PAIR_A, _PAIR_B = [0, 1, 0], [1, 2, 2]  # corr_xy, corr_yz, corr_xz
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(channels: tuple[Channel, ...]) -> tuple[tuple[Channel, ...], Schema, np.ndarray]:
+    """A bundle's channels in canonical order, its feature schema, and which
+    of its sensor groups (row triples in that order) are accelerometers."""
+    order = tuple(sorted(channels))
+    names: list[tuple[str, str]] = []
+    for i in range(0, len(order), 3):
+        device, sensor = order[i].device, order[i].sensor
+        if order[i : i + 3] != tuple(Channel(device, sensor, a) for a in AXES):
+            raise AlignmentError(f"{device}/{sensor} is missing an axis")
+        if sensor not in SENSORS:
+            raise AlignmentError(f"unknown sensor {sensor!r}")
+        key = f"{device}_{sensor}"
+        for axis in AXES:
+            names += [(f, f"{key}_{axis}") for f in AXIS_FEATURES]
+        names += [(f, key) for f in SENSOR_FEATURES]
+        names += [(f, key) for f in (ACC_FEATURES if sensor == "acc" else GYR_FEATURES)]
+    is_acc = np.array([ch.sensor == "acc" for ch in order[::3]])
+    is_acc.setflags(write=False)  # every caller shares it
+    return order, tuple(names), is_acc
+
+
 def extract_features(
     bundle: Mapping[Channel, Window], sample_rate_hz: float
 ) -> FeatureVector:
@@ -88,6 +114,10 @@ def extract_features(
     three pairwise correlations. Accelerometers additionally contribute
     mean/median/max of the windowed instantaneous speed, gyroscopes
     mean/median/max of the roll velocity (their x channel).
+
+    Each feature is computed for all axes (or all sensors) at once over the
+    stacked (axes, W) array, bitwise equal to the helpers above applied to
+    one axis or one sensor at a time.
     """
     if not bundle:
         raise AlignmentError("empty window bundle")
@@ -95,46 +125,47 @@ def extract_features(
     indices = {w.index for w in bundle.values()}
     if len(lengths) != 1 or len(indices) != 1:
         raise AlignmentError("bundle windows are not aligned")
-    groups: dict[tuple[str, str], dict[str, np.ndarray]] = {}
-    for ch, win in bundle.items():
-        groups.setdefault((ch.device, ch.sensor), {})[ch.axis] = win.values
-    names: list[tuple[str, str]] = []
-    values: list[float] = []
-    for (device, sensor) in sorted(groups):
-        by_axis = groups[(device, sensor)]
-        if set(by_axis) != set(AXES):
-            raise AlignmentError(f"{device}/{sensor} is missing an axis")
-        for axis in AXES:
-            x = by_axis[axis]
-            key = f"{device}_{sensor}_{axis}"
-            names += [(f, key) for f in AXIS_FEATURES]
-            values += [
-                float(x.mean()),
-                float(x.min()),
-                float(x.max()),
-                float(x.std()),
-                float(x.var()),
-                fft_energy(x),
-                spectral_entropy(x),
-            ]
-        key = f"{device}_{sensor}"
-        mag = np.sqrt(by_axis["x"] ** 2 + by_axis["y"] ** 2 + by_axis["z"] ** 2)
-        names += [(f, key) for f in SENSOR_FEATURES]
-        values += [
-            float(np.sqrt(np.mean(mag**2))),
-            _pearson(by_axis["x"], by_axis["y"]),
-            _pearson(by_axis["y"], by_axis["z"]),
-            _pearson(by_axis["x"], by_axis["z"]),
-        ]
-        if sensor == "acc":
-            speed = instantaneous_speed(mag, sample_rate_hz)
-            names += [(f, key) for f in ACC_FEATURES]
-            values += [float(speed.mean()), float(np.median(speed)), float(speed.max())]
-        elif sensor == "gyr":
-            roll = by_axis["x"]
-            names += [(f, key) for f in GYR_FEATURES]
-            values += [float(roll.mean()), float(np.median(roll)), float(roll.max())]
-    return FeatureVector(np.array(values), tuple(names))
+    order, schema, is_acc = _layout(tuple(bundle))
+    x = np.array([bundle[ch].values for ch in order])  # (axes, W)
+    w = x.shape[1]
+    mean = x.mean(axis=1)
+    var = x.var(axis=1)
+    std = np.sqrt(var)  # as np.std computes it
+    mags = np.abs(np.fft.rfft(x, axis=1))
+    mags2 = mags**2
+    energy = mags2[:, 0] + 2.0 * np.sum(mags2[:, 1 : (w + 1) // 2], axis=1)
+    if w % 2 == 0:
+        energy += mags2[:, -1]
+    energy /= w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = mags / mags.sum(axis=1, keepdims=True)
+        entropy = -(p * np.log(p)).sum(axis=1) / np.log(mags.shape[1])
+    # spectral_entropy drops zero-probability bins before it sums, which
+    # changes the summation order: rows with such a bin take the scalar path
+    for i in np.flatnonzero(~(p > 0.0).all(axis=1)):
+        entropy[i] = spectral_entropy(x[i])
+    per_axis = np.stack([mean, x.min(axis=1), x.max(axis=1), std, var, energy, entropy], axis=1)
+
+    g = x.reshape(-1, 3, w)  # (groups, xyz, W)
+    mag = np.sqrt(g[:, 0] ** 2 + g[:, 1] ** 2 + g[:, 2] ** 2)
+    centred = g - mean.reshape(-1, 3, 1)
+    cov = (centred[:, _PAIR_A] * centred[:, _PAIR_B]).mean(axis=2)
+    sa, sb = std.reshape(-1, 3)[:, _PAIR_A], std.reshape(-1, 3)[:, _PAIR_B]
+    # zero-variance axes correlate as 0 by convention
+    corr = np.divide(cov, sa * sb, out=np.zeros_like(cov), where=(sa != 0.0) & (sb != 0.0))
+    # instantaneous_speed's trapezoid sum, without cumulative_trapezoid's
+    # array-API dispatch; a gyroscope's motion is its roll velocity instead
+    m = mag - mag.mean(axis=1, keepdims=True)
+    speed = np.zeros_like(m)
+    speed[:, 1:] = np.cumsum(1.0 / sample_rate_hz * (m[:, 1:] + m[:, :-1]) / 2.0, axis=1)
+    motion = np.where(is_acc[:, None], speed, g[:, 0])
+    table = [
+        per_axis.reshape(len(g), -1),
+        np.sqrt((mag**2).mean(axis=1))[:, None],
+        corr,
+        np.stack([motion.mean(axis=1), np.median(motion, axis=1), motion.max(axis=1)], axis=1),
+    ]
+    return FeatureVector(np.concatenate(table, axis=1).ravel(), schema)
 
 
 def features_to_csv(path, vectors: Sequence[FeatureVector], labels=None) -> None:

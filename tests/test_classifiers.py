@@ -1,6 +1,12 @@
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dfam_car import classifiers
 from dfam_car.classifiers import (
     FeatureDataset,
     dumps_feature_model,
@@ -15,6 +21,8 @@ from dfam_car.classifiers import (
     train_nb,
     train_rf,
     train_svm,
+    _best_split,
+    _gini,
 )
 from dfam_car.errors import ConfigError, ParseError, TrainingError
 from dfam_car.features import FeatureVector
@@ -172,6 +180,74 @@ def test_dt_training_accuracy_non_decreasing_in_depth():
         acc = np.mean([predict(model, vec(x)) == lbl for x, lbl in zip(ds.X, ds.labels)])
         assert acc >= prev - 1e-12
         prev = acc
+
+
+def per_feature_best_split(X, y, n_labels, feature_ids):
+    """The split search one feature at a time: the oracle of _best_split."""
+    n = len(y)
+    total = np.bincount(y, minlength=n_labels).astype(np.float64)
+    parent = _gini(total)
+    best = None  # (gain, feature, threshold)
+    for f in feature_ids:
+        col = X[:, f]
+        order = np.argsort(col, kind="stable")
+        sv = col[order]
+        boundary = np.nonzero(sv[1:] != sv[:-1])[0]  # split after these rows
+        if len(boundary) == 0:
+            continue
+        onehot = np.zeros((n, n_labels))
+        onehot[np.arange(n), y[order]] = 1.0
+        prefix = np.cumsum(onehot, axis=0)
+        left = prefix[boundary]
+        nl = (boundary + 1).astype(np.float64)
+        nr = n - nl
+        gl = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
+        gr = 1.0 - (((total - left) / nr[:, None]) ** 2).sum(axis=1)
+        gains = parent - (nl * gl + nr * gr) / n
+        i = int(np.argmax(gains))
+        if gains[i] > 1e-12 and (best is None or gains[i] > best[0]):
+            thr = (sv[boundary[i]] + sv[boundary[i] + 1]) / 2.0
+            best = (float(gains[i]), int(f), float(thr))
+    return best
+
+
+@st.composite
+def split_problems(draw):
+    """A node's rows: few distinct values (so duplicates and ties are common),
+    some constant columns, 1-20 labels, and a sorted feature subset."""
+    n = draw(st.integers(1, 60))
+    n_features = draw(st.integers(1, 8))
+    n_labels = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(1, 12))
+    X = rng.integers(0, levels, size=(n, n_features)) * draw(st.sampled_from([1.0, 0.1, -3.5]))
+    for f in draw(st.lists(st.integers(0, n_features - 1), max_size=3)):
+        X[:, f] = X[0, f]
+    y = rng.integers(0, n_labels, size=n)
+    subset = draw(st.lists(st.integers(0, n_features - 1), min_size=1, unique=True))
+    return X, y, n_labels, np.array(sorted(subset))
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_problems(), st.sampled_from([1, 50, 1 << 18]))
+def test_best_split_matches_per_feature_oracle(problem, block_cells):
+    X, y, n_labels, feature_ids = problem
+    # small blocks split the search over the features into several sweeps
+    with mock.patch.object(classifiers, "_SPLIT_BLOCK_CELLS", block_cells):
+        assert _best_split(X, y, n_labels, feature_ids) == per_feature_best_split(
+            X, y, n_labels, feature_ids
+        )
+
+
+def test_trees_equal_those_of_oracle_split(monkeypatch):
+    rng = np.random.default_rng(47)
+    ds = blobs(rng, [[0, 0, 0, 0], [1, 2, 0, 1], [2, 0, 1, 2], [0, 1, 2, 2]], per_class=40)
+    ds = dataset(np.round(ds.X, 1), ds.labels)  # duplicated values
+    fast = [train_rf(ds, seed=0), train_dt(ds)]
+    monkeypatch.setattr(classifiers, "_best_split", per_feature_best_split)
+    slow = [train_rf(ds, seed=0), train_dt(ds)]
+    for a, b in zip(fast, slow):
+        assert a.params == b.params
 
 
 # --------------------------------------------------------------- random forest
@@ -336,6 +412,65 @@ def test_loads_feature_model_errors():
         with pytest.raises(ParseError) as e:
             loads_feature_model("MODEL v1 kind=knn\n" + body)
         assert e.value.line == 2
+
+
+def _refit(model, **changes):
+    """model's text with some of its body (labels, schema) or params replaced."""
+    body = json.loads(dumps_feature_model(model).split("\n", 1)[1])
+    for key, value in changes.items():
+        (body if key in ("labels", "schema") else body["params"])[key] = value
+    return f"MODEL v1 kind={model.kind}\n" + json.dumps(body)
+
+
+def _misfits():
+    """(model text, what the ParseError says) for params that do not fit
+    the model's schema of 3 features and its 3 labels."""
+    ds, (nb, knn, dt, rf, svm) = _all_models(np.random.default_rng(48))
+    n = len(ds.labels)
+    return [
+        (_refit(knn, X=[[1.0, 2.0]]), "param X has shape 1x2, expected nx3"),
+        (_refit(knn, mean=[0.0, 0.0]), "param mean has shape 2, expected 3"),
+        (_refit(knn, std=5.0), "param std has shape scalar, expected 3"),
+        (_refit(knn, row_labels=knn.params["row_labels"][:-1]), "row_labels"),
+        (_refit(knn, row_labels=["nope"] * n), "row_labels"),
+        (_refit(knn, k=0), "param k"),
+        (_refit(knn, k=n + 1), "param k"),
+        (_refit(knn, k=3.0), "param k"),
+        (_refit(knn, schema=[["f", "c0"]]), "param mean has shape 3, expected 1"),
+        (_refit(nb, log_prior=[0.0]), "param log_prior has shape 1, expected 3"),
+        (_refit(nb, mean=[[0.0, 0.0, 0.0]]), "param mean has shape 1x3, expected 3x3"),
+        (_refit(nb, var=[[1.0, 1.0], [1.0, 1.0]]), "param var has shape 2x2, expected 3x3"),
+        (_refit(nb, labels=["a", "b", "c", "d"]), "param log_prior has shape 3, expected 4"),
+        (_refit(nb, labels=[]), "labels"),
+        (_refit(nb, labels=[1, 2]), "labels"),
+        (_refit(svm, W=[[0.0, 0.0, 0.0]]), "param W has shape 1x3, expected 3x3"),
+        (_refit(svm, b=[0.0, 0.0]), "param b has shape 2, expected 3"),
+        (_refit(svm, mean=[[0.0, 0.0, 0.0]]), "param mean has shape 1x3, expected 3"),
+        (_refit(dt, tree={}), "tree nodes"),
+        (_refit(dt, tree={"leaf": "nope"}), "tree nodes"),
+        (_refit(dt, tree={"feature": 3, "threshold": 0.0, "left": {"leaf": "class0"},
+                          "right": {"leaf": "class1"}}), "tree nodes"),
+        (_refit(dt, tree={"feature": 0, "threshold": "0", "left": {"leaf": "class0"},
+                          "right": {"leaf": "class1"}}), "tree nodes"),
+        (_refit(dt, tree={"feature": 0, "threshold": 0.0, "left": {"leaf": "class0"}}),
+         "tree nodes"),
+        (_refit(rf, trees=[]), "param trees"),
+        (_refit(svm, window_size=6.5), "param window_size"),
+        (_refit(svm, window_size="64"), "param window_size"),
+        (_refit(svm, window_size=1), "param window_size"),
+        (_refit(svm, sample_rate_hz=0.0), "param sample_rate_hz"),
+        (_refit(svm, sample_rate_hz="50"), "param sample_rate_hz"),
+        (_refit(rf, trees=[{"leaf": "class0"}, [1]]), "tree nodes"),
+    ]
+
+
+def test_loads_feature_model_rejects_misfit_params():
+    for text, message in _misfits():
+        with pytest.raises(ParseError) as e:
+            loads_feature_model(text, "m.model")
+        assert e.value.line == 2
+        assert str(e.value).startswith("m.model: line 2: ")
+        assert message in str(e.value)
 
 
 def test_one_nn_self_test_accuracy():

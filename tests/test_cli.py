@@ -277,6 +277,24 @@ def test_classify_model_file_not_utf8(tmp_path, corpus, capsys, text):
     assert "is not UTF-8" in capsys.readouterr().err
 
 
+def test_classify_misfit_model_params(tmp_path, corpus, capsys):
+    model = tmp_path / "knn3.model"
+    assert main(["train", "--corpus", str(corpus), "--model", "knn3", "--W", "128",
+                 "--out", str(model)]) == 0
+    header, body = model.read_text(encoding="utf-8").split("\n", 1)
+    body = json.loads(body)
+    body["params"]["X"] = [[1.0, 2.0]]
+    model.write_text(header + "\n" + json.dumps(body) + "\n", encoding="utf-8")
+    recording = next(p for p in sorted(corpus.iterdir()) if p.name != "labels.csv")
+    capsys.readouterr()
+    rc = main(["classify", "--model-file", str(model), "--recording", str(recording),
+               "--out", str(tmp_path / "out.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{model}: line 2: param X has shape 1x2, expected nx112" in err
+    assert "Traceback" not in err
+
+
 def test_model_channels_guard_classify_and_replay(tmp_path, corpus, capsys):
     s1, s3, s3_acc = tmp_path / "s1", tmp_path / "s3", tmp_path / "s3_acc"
     base = ["train", "--corpus", str(corpus), "--model", "dfam"]

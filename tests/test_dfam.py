@@ -117,6 +117,16 @@ def test_extraction_matches_bruteforce_oracle():
         assert got == expected
 
 
+def test_signature_of_ints_keeps_shape_checks():
+    assert Signature.of_ints(((1, 2), (3, 4))) == Signature(((1, 2), (3, 4)))
+    assert Signature.of_ints(((5,),)).g == 1
+    for axes in ((), ((1, 2), (3,)), ((), ())):
+        with pytest.raises(ConfigError):
+            Signature.of_ints(axes)
+        with pytest.raises(ConfigError):
+            Signature(axes)
+
+
 def test_match_score_closed_form():
     a = sig((1, 2), (3, 4), (5, 6))
     b = sig((1, 2), (3, 4), (9, 9))  # 2 of 3 axes match

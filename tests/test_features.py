@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfam_car.errors import AlignmentError
 from dfam_car.features import (
+    AXIS_FEATURES,
+    _pearson,
     extract_features,
     features_to_csv,
     fft_energy,
@@ -171,6 +175,9 @@ def test_alignment_errors():
         extract_features(mixed, FS)
     with pytest.raises(AlignmentError):
         extract_features({}, FS)
+    unknown = bundle_from({Channel("phone", "mag", a): rng.normal(size=64) for a in AXES})
+    with pytest.raises(AlignmentError):
+        extract_features(unknown, FS)
 
 
 def test_features_to_csv(tmp_path):
@@ -184,3 +191,94 @@ def test_features_to_csv(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "a"
     assert float(first[1]) == vecs[0].values[0]
+
+
+def per_axis_reference(arrays_by_channel, fs):
+    """extract_features' schema and values, assembled one axis and one
+    sensor at a time from the scalar helpers."""
+    names, values = [], []
+    channels = sorted(arrays_by_channel)
+    for i in range(0, len(channels), 3):
+        x, y, z = (arrays_by_channel[ch] for ch in channels[i : i + 3])
+        for ch, a in zip(channels[i : i + 3], (x, y, z)):
+            names += [(f, ch.key) for f in AXIS_FEATURES]
+            values += [a.mean(), a.min(), a.max(), a.std(), a.var(), fft_energy(a),
+                       spectral_entropy(a)]
+        key = f"{channels[i].device}_{channels[i].sensor}"
+        mag = np.sqrt(x**2 + y**2 + z**2)
+        names += [(f, key) for f in ("rms_mag", "corr_xy", "corr_yz", "corr_xz")]
+        values += [np.sqrt(np.mean(mag**2)), _pearson(x, y), _pearson(y, z), _pearson(x, z)]
+        if channels[i].sensor == "acc":
+            names += [(f, key) for f in ("speed_mean", "speed_median", "speed_max")]
+            motion = instantaneous_speed(mag, fs)
+        else:
+            names += [(f, key) for f in ("roll_mean", "roll_median", "roll_max")]
+            motion = x
+        values += [motion.mean(), np.median(motion), motion.max()]
+    return tuple(names), np.array(values, dtype=np.float64)
+
+
+CHANNEL_SETS = {
+    "phone": all_channels()[:6],
+    "acc": all_channels(["acc"]),
+    "all": all_channels(),
+}
+
+
+@st.composite
+def axis_values(draw, w):
+    """One axis of w samples: noise, a tone, a few repeated levels, a
+    constant or all zeros (the last two give zero spectral bins and zero
+    variance)."""
+    kind = draw(st.sampled_from(["normal", "tone", "levels", "constant", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    if kind == "normal":
+        return scale * rng.normal(size=w)
+    if kind == "tone":
+        return scale * np.cos(2 * np.pi * rng.integers(0, w // 2 + 1) * np.arange(w) / w)
+    if kind == "levels":
+        return scale * rng.integers(-2, 3, size=w).astype(np.float64)
+    if kind == "constant":
+        return np.full(w, scale * rng.normal())
+    return np.zeros(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(CHANNEL_SETS)).flatmap(
+        lambda name: st.integers(4, 512).flatmap(
+            lambda w: st.tuples(
+                st.just(CHANNEL_SETS[name]),
+                st.lists(axis_values(w), min_size=len(CHANNEL_SETS[name]),
+                         max_size=len(CHANNEL_SETS[name])),
+            )
+        )
+    ),
+    st.sampled_from([50.0, 25.0, 7.3]),
+    st.randoms(use_true_random=False),
+)
+def test_extract_features_matches_per_axis_reference(channels_and_values, fs, random):
+    channels, values = channels_and_values
+    arrays = dict(zip(channels, values))
+    shuffled = list(channels)
+    random.shuffle(shuffled)  # bundle order must not matter
+    vec = extract_features(bundle_from({ch: arrays[ch] for ch in shuffled}), fs)
+    schema, expected = per_axis_reference(arrays, fs)
+    assert vec.schema == schema
+    # bit for bit, so a signed zero counts as a difference too
+    assert np.array_equal(vec.values.view(np.int64), expected.view(np.int64))
+
+    w = len(values[0])
+    misaligned = bundle_from(arrays)
+    misaligned[channels[-1]] = Window(arrays[channels[-1]], 1, channels[-1])
+    with pytest.raises(AlignmentError):
+        extract_features(misaligned, fs)
+    short = bundle_from(arrays)
+    short[channels[0]] = Window(arrays[channels[0]][: w - 1], 0, channels[0])
+    with pytest.raises(AlignmentError):
+        extract_features(short, fs)
+    missing = bundle_from(arrays)
+    del missing[random.choice(channels)]
+    with pytest.raises(AlignmentError):
+        extract_features(missing, fs)

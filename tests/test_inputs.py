@@ -10,8 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import series
+from dfam_car.classifiers import predict
 from dfam_car.cli import _read_context
+from dfam_car.dfam import DfamModel, Signature, classify
 from dfam_car.errors import CarError, ParseError
+from dfam_car.features import FeatureVector
 from dfam_car.pipeline import load_any_model, load_corpus
 from dfam_car.signals import all_channels, read_recording, write_recording
 
@@ -123,10 +126,33 @@ def test_fuzz_read_context(scratch, data):
          + b"0" * 400 + b'], "std": [], "X": []}}\n')
 @example(data=b"MODEL v1 kind=knn\n" + b"[" * 100_000)
 @example(data=b"MODEL v1 kind=knn\n" + b"9" * 5000)
+# params that parse but do not fit the schema or the labels
+@example(data=b'MODEL v1 kind=knn\n{"labels": ["a"], "schema": [["f", "c0"]], "params": '
+         b'{"k": 1, "mean": [0.0], "std": [1.0], "X": [[1.0, 2.0]], "row_labels": ["a"]}}\n')
+@example(data=b'MODEL v1 kind=knn\n{"labels": ["a"], "schema": [["f", "c0"]], "params": '
+         b'{"k": 2, "mean": [0.0], "std": [1.0], "X": [[1.0]], "row_labels": ["a"]}}\n')
+@example(data=b'MODEL v1 kind=naive_bayes\n{"labels": ["a", "b"], "schema": [["f", "c0"]], '
+         b'"params": {"log_prior": [0.0], "mean": [[0.0], [1.0]], "var": [[1.0], [1.0]]}}\n')
+@example(data=b'MODEL v1 kind=svm\n{"labels": ["a", "b"], "schema": [["f", "c0"]], "params": '
+         b'{"mean": [0.0], "std": [1.0], "W": [[1.0, 1.0]], "b": [0.0, 0.0]}}\n')
+@example(data=b'MODEL v1 kind=decision_tree\n{"labels": ["a"], "schema": [["f", "c0"]], '
+         b'"params": {"tree": {"feature": 1, "threshold": 0.5}}}\n')
+@example(data=b'MODEL v1 kind=random_forest\n{"labels": ["a"], "schema": [], '
+         b'"params": {"trees": [{"leaf": "b"}]}}\n')
 def test_fuzz_load_any_model(scratch, data):
     path = scratch / "model"
     path.write_bytes(data)
-    returns_or_raises_car_error(load_any_model, path)
+    returns_or_raises_car_error(load_and_apply, path)
+
+
+def load_and_apply(path):
+    """Load a model file, then label an all-zero window with the model."""
+    model = load_any_model(path)
+    if isinstance(model, DfamModel):
+        label = classify(Signature(((0,) * model.layout.g,) * model.axes), model).label
+    else:
+        label = predict(model, FeatureVector(np.zeros(len(model.schema)), model.schema))
+    assert label in model.labels
 
 
 @pytest.mark.parametrize(
