@@ -23,8 +23,8 @@ from .features import FeatureVector, Schema
 from .signals import read_utf8
 
 _VAR_FLOOR = 1e-9
-# cap on the (features, rows, labels) prefix-count cells _best_split holds at once
-_SPLIT_BLOCK_CELLS = 1 << 18
+# cap on the (row, feature) cells one batch of _search_splits holds at once
+_SPLIT_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,6 +43,8 @@ class FeatureDataset:
             raise TrainingError("empty training dataset")
         if X.shape[1] != len(self.schema):
             raise TrainingError("feature matrix does not match schema")
+        if not np.isfinite(X).all():
+            raise TrainingError("feature matrix holds a non-finite value")
 
     @classmethod
     def from_vectors(cls, pairs: Sequence[tuple[str, FeatureVector]]) -> "FeatureDataset":
@@ -162,78 +164,134 @@ def _knn_predict(model: FeatureModel, x: np.ndarray) -> str:
 
 # -------------------------------------------------------------- decision tree
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - np.sum(p * p))
+def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X's columns as contiguous rows, and each value's rank within its
+    column (ties in any order: a split never falls between equal values)."""
+    XT = np.ascontiguousarray(X.T)
+    rank = np.empty(XT.shape, dtype=np.int64)
+    rank[np.arange(len(XT))[:, None], np.argsort(XT, axis=1)] = np.arange(XT.shape[1])
+    return XT, rank
 
 
-def _majority(y: np.ndarray, n_labels: int) -> int:
-    return int(np.argmax(np.bincount(y, minlength=n_labels)))
+def _search_splits(XT, rank, y, nodes):
+    """Best (gain, feature, midpoint threshold) by Gini gain of each node,
+    or None; nodes holds (rows of X, their label counts, feature ids).
 
-
-def _best_split(X, y, n_labels, feature_ids):
-    """Best (feature, midpoint threshold) by Gini gain.
-
-    Candidates are midpoints between consecutive distinct sorted values,
-    evaluated with prefix class counts in one sweep over a block of
-    features at a time; ties keep the first candidate in (feature,
-    threshold) order.
+    Candidates are midpoints between consecutive distinct values of a
+    node's rows. The (node, feature) groups are searched in batches of at
+    most _SPLIT_BLOCK_CELLS row cells (one group may exceed it alone); ties
+    keep the first candidate in (feature, threshold) order, and a split
+    needs a gain above 1e-12.
     """
-    n = len(y)
-    total = np.bincount(y, minlength=n_labels).astype(np.float64)
-    parent = _gini(total)
-    best = None  # (gain, feature, threshold)
-    step = max(1, _SPLIT_BLOCK_CELLS // (n * n_labels))
-    for start in range(0, len(feature_ids), step):
-        ids = feature_ids[start : start + step]
-        cols = X[:, ids]
-        order = np.argsort(cols, axis=0, kind="stable")
-        sv = np.take_along_axis(cols, order, axis=0)
-        # split after row r of feature f, feature-major
-        f, r = np.nonzero((sv[1:] != sv[:-1]).T)
-        if len(r) == 0:
+    sizes = np.array([len(rows) for rows, _, _ in nodes])
+    counts = np.array([c for _, c, _ in nodes])
+    n_rows, n_labels = XT.shape[1], counts.shape[1]
+    p = counts / sizes[:, None]
+    parent = 1.0 - (p * p).sum(axis=1)  # each node's Gini impurity
+    gnode = np.repeat(np.arange(len(nodes)), [len(f) for _, _, f in nodes])
+    gfeat = np.concatenate([f for _, _, f in nodes])
+    best = np.full(len(nodes), 1e-12), np.full(len(nodes), -1), np.zeros(len(nodes))
+    starts, cells = [0], 0  # of the batches, in groups
+    for k, size in enumerate(sizes[gnode].tolist()):
+        if cells + size > _SPLIT_BLOCK_CELLS and k > starts[-1]:
+            starts, cells = starts + [k], 0
+        cells += size
+    for batch in map(slice, starts, starts[1:] + [len(gnode)]):
+        gsize = sizes[gnode[batch]]
+        first = np.cumsum(gsize) - gsize  # each group's first position
+        gid = np.repeat(np.arange(len(gsize)), gsize)
+        column = np.repeat(gfeat[batch] * n_rows, gsize)  # where each cell's feature starts in XT.flat
+        rows = np.concatenate([nodes[j][0] for j in gnode[batch].tolist()])
+        rows = rows[np.argsort(gid * n_rows + rank.take(column + rows))]
+        val = XT.take(column + rows)
+        split = np.flatnonzero((val[1:] != val[:-1]) & (gid[1:] == gid[:-1]))  # after these
+        if not len(split):
             continue
-        onehot = np.zeros((len(ids), n, n_labels))
-        onehot[np.arange(len(ids))[:, None], np.arange(n), y[order.T]] = 1.0
-        left = np.cumsum(onehot, axis=1)[f, r]
-        nl = r + 1.0
+        # Screen in exact integers. With S_l = sum(left_l**2), S_r likewise,
+        # gini gain = parent - 1 + (S_l/nl + S_r/nr)/n: the score below plus
+        # a per-node constant. A row of label l joining the left raises S_l
+        # by 2*left_l + 1: S_l sums 2*(earlier rows of l in the group) + 1.
+        bucket = gid * n_labels + y[rows]
+        cross = np.concatenate(([0], np.cumsum(counts[gnode[batch]].take(bucket))))  # sum(total_l*left_l)
+        # stable, so that a bucket's positions ascend (a radix sort when narrow)
+        by_bucket = np.argsort(bucket.astype(np.min_scalar_type(len(gsize) * n_labels)), kind="stable")
+        bucket = bucket[by_bucket]
+        in_bucket = np.bincount(bucket, minlength=len(gsize) * n_labels)
+        earlier = np.empty_like(by_bucket)
+        earlier[by_bucket] = np.arange(len(gid)) - np.repeat(np.cumsum(in_bucket) - in_bucket, in_bucket)
+        sq = np.concatenate(([0], np.cumsum(2 * earlier + 1)))
+        g = gid[split]
+        lo, hi = first[g], split + 1
+        nl, n, node = hi - lo, gsize[g], gnode[batch][g]
+        s_l = sq[hi] - sq[lo]
+        s_r = (counts**2).sum(axis=1)[node] - 2 * (cross[hi] - cross[lo]) + s_l
+        score = (s_l / nl + s_r / (n - nl)) / n
+        # Keep the candidates within 1e-9 of their node's top score. In units
+        # of 2**-53, the score is within 4 of its real value (exact integers,
+        # four roundings, value at most 1) and each float gain below within
+        # 2L + 10 of the real gain for L labels, about 25 ulp of 1 at L = 20
+        # (L squared ratios 3 units off, summed, five roundings, also in the
+        # parent). So the float argmax and its ties score within 4L + 28 of
+        # the top: below 1e-9 for any L under two million.
+        top = np.full(len(nodes), -np.inf)
+        np.maximum.at(top, node, score)
+        keep = score >= top[node] - 1e-9
+        at, g, nl, n, node = split[keep], g[keep], nl[keep], n[keep], node[keep]
+        key = bucket * len(gid) + by_bucket  # ascending
+        buckets = ((g * n_labels)[:, None] + np.arange(n_labels)) * len(gid)
+        left = np.searchsorted(key, buckets + at[:, None], "right") - np.searchsorted(key, buckets)
+        # the gain formula of the one-feature oracle, on exact counts
+        left = left.astype(np.float64)
+        nl = nl.astype(np.float64)
         nr = n - nl
+        total = counts[node].astype(np.float64)
         gl = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
         gr = 1.0 - (((total - left) / nr[:, None]) ** 2).sum(axis=1)
-        gains = parent - (nl * gl + nr * gr) / n
-        i = int(np.argmax(gains))
-        if gains[i] > 1e-12 and (best is None or gains[i] > best[0]):
-            thr = (sv[r[i], f[i]] + sv[r[i] + 1, f[i]]) / 2.0
-            best = (float(gains[i]), int(ids[f[i]]), float(thr))
-    return best
+        gains = parent[node] - (nl * gl + nr * gr) / n
+        i = np.lexsort((-gains, node))  # by node, gain down, then position
+        i = i[np.concatenate(([True], node[i][1:] != node[i][:-1]))]
+        i = i[gains[i] > best[0][node[i]]]  # above 1e-12 and what earlier batches found
+        best[0][node[i]], best[1][node[i]] = gains[i], gfeat[batch][g[i]]
+        best[2][node[i]] = (val[at[i]] + val[at[i] + 1]) / 2.0
+    return [None if f < 0 else (float(g), int(f), float(t)) for g, f, t in zip(*best)]
 
 
-def _build_tree(X, y, canonical, depth, max_depth, min_leaf, n_feats, rng):
-    counts = np.bincount(y, minlength=len(canonical))
-    if (
-        np.count_nonzero(counts) == 1
-        or depth == max_depth
-        or len(y) < min_leaf
-    ):
-        return {"leaf": canonical[_majority(y, len(canonical))]}
-    if n_feats is not None and n_feats < X.shape[1]:
-        feature_ids = np.sort(rng.choice(X.shape[1], size=n_feats, replace=False))
-    else:
-        feature_ids = np.arange(X.shape[1])
-    split = _best_split(X, y, len(canonical), feature_ids)
-    if split is None:
-        return {"leaf": canonical[_majority(y, len(canonical))]}
-    _, f, thr = split
-    left = X[:, f] <= thr
-    return {
-        "feature": f,
-        "threshold": thr,
-        "left": _build_tree(X[left], y[left], canonical, depth + 1, max_depth, min_leaf, n_feats, rng),
-        "right": _build_tree(X[~left], y[~left], canonical, depth + 1, max_depth, min_leaf, n_feats, rng),
-    }
+def _grow_trees(X, y, canonical, row_sets, max_depth, min_leaf, n_feats, rngs):
+    """One CART tree per row set of X (repeats allowed): a node is a leaf
+    when pure, at max_depth, under min_leaf rows or without a split, else
+    it splits on the best of n_feats features drawn from its tree's rng
+    (all features if None). The trees grow in lockstep: each step searches
+    every tree's next node that needs a search, taken depth-first and
+    left-first, so each tree is the one it would be if grown alone.
+    """
+    F = X.shape[1]
+    XT, rank = _presort(X)
+    subsample = n_feats is not None and n_feats < F
+    trees = [None] * len(row_sets)
+    stacks = [[(rows, 0, trees, t)] for t, rows in enumerate(row_sets)]
+    while True:
+        pending = []  # ((rows, counts, feature ids), (tree, depth, holder, key)) to search
+        for t, stack in enumerate(stacks):
+            while stack:
+                rows, depth, holder, key = stack.pop()
+                counts = np.bincount(y[rows], minlength=len(canonical))
+                if np.count_nonzero(counts) == 1 or depth == max_depth or len(rows) < min_leaf:
+                    holder[key] = {"leaf": canonical[int(np.argmax(counts))]}
+                    continue
+                ids = np.sort(rngs[t].choice(F, n_feats, replace=False)) if subsample else np.arange(F)
+                pending.append(((rows, counts, ids), (t, depth, holder, key)))
+                break
+        if not pending:
+            return trees
+        splits = _search_splits(XT, rank, y, [p for p, _ in pending])
+        for ((rows, counts, _), (t, depth, holder, key)), split in zip(pending, splits):
+            if split is None:
+                holder[key] = {"leaf": canonical[int(np.argmax(counts))]}
+                continue
+            _, f, thr = split
+            node = holder[key] = {"feature": f, "threshold": thr, "left": None, "right": None}
+            left = XT[f, rows] <= thr
+            stacks[t] += [(rows[~left], depth + 1, node, "right"), (rows[left], depth + 1, node, "left")]
 
 
 def train_dt(
@@ -251,8 +309,8 @@ def train_dt(
     """
     canonical = _canonical_labels(dataset.labels)
     y = _label_indices(dataset.labels, canonical)
-    tree = _build_tree(
-        dataset.X, y, canonical, 0, max_depth, min_leaf, feature_subsample, rng
+    (tree,) = _grow_trees(
+        dataset.X, y, canonical, [np.arange(len(y))], max_depth, min_leaf, feature_subsample, [rng]
     )
     return FeatureModel("decision_tree", canonical, dataset.schema, {"tree": tree})
 
@@ -283,25 +341,17 @@ def train_rf(
     y = _label_indices(dataset.labels, canonical)
     n, f = dataset.X.shape
     n_feats = max(1, int(math.sqrt(f))) if bootstrap else None
-    children = np.random.SeedSequence(seed).spawn(n_trees)
-    trees = []
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n_trees)]
+    # each tree's bootstrap is its rng's first draw
+    boots = [rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs]
+    trees = _grow_trees(dataset.X, y, canonical, boots, max_depth, min_leaf, n_feats, rngs)
     oob_votes = np.zeros((n, len(canonical)), dtype=np.int64)
-    for child in children:
-        rng = np.random.default_rng(child)
-        if bootstrap:
-            idx = rng.integers(0, n, size=n)
-        else:
-            idx = np.arange(n)
-        tree = _build_tree(
-            dataset.X[idx], y[idx], canonical, 0, max_depth, min_leaf, n_feats, rng
-        )
-        trees.append(tree)
-        if bootstrap:
-            mask = np.ones(n, dtype=bool)
-            mask[idx] = False
-            for row in np.nonzero(mask)[0]:
-                pred = _tree_predict(tree, dataset.X[row])
-                oob_votes[row, canonical.index(pred)] += 1
+    for tree, idx in zip(trees, boots if bootstrap else ()):
+        mask = np.ones(n, dtype=bool)
+        mask[idx] = False
+        for row in np.nonzero(mask)[0]:
+            pred = _tree_predict(tree, dataset.X[row])
+            oob_votes[row, canonical.index(pred)] += 1
     oob_accuracy = None
     if bootstrap:
         covered = oob_votes.sum(axis=1) > 0

@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .errors import AlignmentError
+from .errors import AlignmentError, DataQualityError
 from .signals import AXES, SENSORS, Channel, Window
 
 AXIS_FEATURES = ("mean", "min", "max", "std", "var", "fft_energy", "spectral_entropy")
@@ -104,6 +104,7 @@ def _layout(channels: tuple[Channel, ...]) -> tuple[tuple[Channel, ...], Schema,
     return order, tuple(names), is_acc
 
 
+@np.errstate(all="ignore")  # an overflow is reported below, as a non-finite feature
 def extract_features(
     bundle: Mapping[Channel, Window], sample_rate_hz: float
 ) -> FeatureVector:
@@ -117,7 +118,8 @@ def extract_features(
 
     Each feature is computed for all axes (or all sensors) at once over the
     stacked (axes, W) array, bitwise equal to the helpers above applied to
-    one axis or one sensor at a time.
+    one axis or one sensor at a time. A non-finite feature, which finite
+    samples near 1e200 overflow to, raises DataQualityError.
     """
     if not bundle:
         raise AlignmentError("empty window bundle")
@@ -137,9 +139,8 @@ def extract_features(
     if w % 2 == 0:
         energy += mags2[:, -1]
     energy /= w
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = mags / mags.sum(axis=1, keepdims=True)
-        entropy = -(p * np.log(p)).sum(axis=1) / np.log(mags.shape[1])
+    p = mags / mags.sum(axis=1, keepdims=True)
+    entropy = -(p * np.log(p)).sum(axis=1) / np.log(mags.shape[1])
     # spectral_entropy drops zero-probability bins before it sums, which
     # changes the summation order: rows with such a bin take the scalar path
     for i in np.flatnonzero(~(p > 0.0).all(axis=1)):
@@ -165,7 +166,12 @@ def extract_features(
         corr,
         np.stack([motion.mean(axis=1), np.median(motion, axis=1), motion.max(axis=1)], axis=1),
     ]
-    return FeatureVector(np.concatenate(table, axis=1).ravel(), schema)
+    values = np.concatenate(table, axis=1).ravel()
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        name, key = schema[bad[0]]
+        raise DataQualityError(f"window {indices.pop()}: non-finite feature {name}:{key}")
+    return FeatureVector(values, schema)
 
 
 def features_to_csv(path, vectors: Sequence[FeatureVector], labels=None) -> None:

@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfam_car import classifiers
@@ -21,8 +22,8 @@ from dfam_car.classifiers import (
     train_nb,
     train_rf,
     train_svm,
-    _best_split,
-    _gini,
+    _presort,
+    _search_splits,
 )
 from dfam_car.errors import ConfigError, ParseError, TrainingError
 from dfam_car.features import FeatureVector
@@ -182,8 +183,16 @@ def test_dt_training_accuracy_non_decreasing_in_depth():
         prev = acc
 
 
+def _gini(counts):
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts / total
+    return float(1.0 - np.sum(p * p))
+
+
 def per_feature_best_split(X, y, n_labels, feature_ids):
-    """The split search one feature at a time: the oracle of _best_split."""
+    """The split search one feature at a time: the oracle of _search_splits."""
     n = len(y)
     total = np.bincount(y, minlength=n_labels).astype(np.float64)
     parent = _gini(total)
@@ -211,6 +220,39 @@ def per_feature_best_split(X, y, n_labels, feature_ids):
     return best
 
 
+def recursive_build_tree(X, y, canonical, depth, max_depth, min_leaf, n_feats, rng):
+    """One tree grown by recursion on copies of X's rows, each split found
+    by per_feature_best_split: the oracle of _grow_trees."""
+    counts = np.bincount(y, minlength=len(canonical))
+    majority = {"leaf": canonical[int(np.argmax(counts))]}
+    if np.count_nonzero(counts) == 1 or depth == max_depth or len(y) < min_leaf:
+        return majority
+    if n_feats is not None and n_feats < X.shape[1]:
+        feature_ids = np.sort(rng.choice(X.shape[1], size=n_feats, replace=False))
+    else:
+        feature_ids = np.arange(X.shape[1])
+    split = per_feature_best_split(X, y, len(canonical), feature_ids)
+    if split is None:
+        return majority
+    _, f, thr = split
+    left = X[:, f] <= thr
+    args = (canonical, depth + 1, max_depth, min_leaf, n_feats, rng)
+    return {
+        "feature": f,
+        "threshold": thr,
+        "left": recursive_build_tree(X[left], y[left], *args),
+        "right": recursive_build_tree(X[~left], y[~left], *args),
+    }
+
+
+def recursive_grow_trees(X, y, canonical, row_sets, max_depth, min_leaf, n_feats, rngs):
+    """_grow_trees' contract, one tree after the other."""
+    return [
+        recursive_build_tree(X[rows], y[rows], canonical, 0, max_depth, min_leaf, n_feats, rng)
+        for rows, rng in zip(row_sets, rngs)
+    ]
+
+
 @st.composite
 def split_problems(draw):
     """A node's rows: few distinct values (so duplicates and ties are common),
@@ -228,15 +270,35 @@ def split_problems(draw):
     return X, y, n_labels, np.array(sorted(subset))
 
 
+def search_node(rows, y, n_labels, feature_ids):
+    return rows, np.bincount(y[rows], minlength=n_labels), feature_ids
+
+
+# Two splits of one float gain, the first on feature 0, whose integer
+# scores round apart the other way: a screen with no margin keeps only the
+# second.
+TIED_GAINS = (
+    np.array([[1, 1, 0, 4, 0, 2, 6, 4, 6, 5, 7, 5, 7, 5, 6, 3],
+              [1, 1, 5, 1, 1, 3, 4, 4, 6, 0, 6, 3, 2, 4, 3, 7]], dtype=np.float64).T,
+    np.array([0, 0, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1, 0, 0]),
+    2,
+    np.array([0, 1]),
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(split_problems(), st.sampled_from([1, 50, 1 << 18]))
+@given(split_problems(), st.sampled_from([1, 50, classifiers._SPLIT_BLOCK_CELLS]))
+@example(TIED_GAINS, classifiers._SPLIT_BLOCK_CELLS)
 def test_best_split_matches_per_feature_oracle(problem, block_cells):
     X, y, n_labels, feature_ids = problem
-    # small blocks split the search over the features into several sweeps
+    # the node of all rows, searched next to a bootstrap node of the same X
+    rows = np.arange(len(y))
+    boot = np.random.default_rng(len(y)).integers(0, len(y), size=len(y))
+    nodes = [search_node(rows, y, n_labels, feature_ids), search_node(boot, y, n_labels, feature_ids[-2:])]
+    # small batches split one node's features over several searches
     with mock.patch.object(classifiers, "_SPLIT_BLOCK_CELLS", block_cells):
-        assert _best_split(X, y, n_labels, feature_ids) == per_feature_best_split(
-            X, y, n_labels, feature_ids
-        )
+        found = _search_splits(*_presort(X), y, nodes)
+    assert found == [per_feature_best_split(X[r], y[r], n_labels, f) for r, _, f in nodes]
 
 
 def test_trees_equal_those_of_oracle_split(monkeypatch):
@@ -244,10 +306,66 @@ def test_trees_equal_those_of_oracle_split(monkeypatch):
     ds = blobs(rng, [[0, 0, 0, 0], [1, 2, 0, 1], [2, 0, 1, 2], [0, 1, 2, 2]], per_class=40)
     ds = dataset(np.round(ds.X, 1), ds.labels)  # duplicated values
     fast = [train_rf(ds, seed=0), train_dt(ds)]
-    monkeypatch.setattr(classifiers, "_best_split", per_feature_best_split)
+    monkeypatch.setattr(classifiers, "_grow_trees", recursive_grow_trees)
     slow = [train_rf(ds, seed=0), train_dt(ds)]
     for a, b in zip(fast, slow):
         assert a.params == b.params
+
+
+@st.composite
+def tree_problems(draw):
+    """A dataset of few-level, constant and duplicated columns."""
+    X, y, _, _ = draw(split_problems())
+    if draw(st.booleans()):
+        X = np.hstack([X, X[:, :1]])  # a duplicated column
+    return dataset(X, [f"L{i:02d}" for i in y])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    tree_problems(),
+    st.booleans(),
+    st.integers(1, 8),
+    st.integers(1, 10),
+    st.integers(1, 3),
+    st.integers(0, 2**16),
+    st.sampled_from([1, 50, classifiers._SPLIT_BLOCK_CELLS]),
+)
+def test_lockstep_trees_equal_recursive_oracle(ds, bootstrap, n_trees, depth, min_leaf, seed, block_cells):
+    with mock.patch.object(classifiers, "_SPLIT_BLOCK_CELLS", block_cells):
+        fast = [
+            train_rf(ds, n_trees=n_trees, max_depth=depth, seed=seed, min_leaf=min_leaf, bootstrap=bootstrap),
+            train_dt(ds, max_depth=depth, min_leaf=min_leaf),
+        ]
+    with mock.patch.object(classifiers, "_grow_trees", recursive_grow_trees):
+        slow = [
+            train_rf(ds, n_trees=n_trees, max_depth=depth, seed=seed, min_leaf=min_leaf, bootstrap=bootstrap),
+            train_dt(ds, max_depth=depth, min_leaf=min_leaf),
+        ]
+    for a, b in zip(fast, slow):
+        assert a.params == b.params
+
+
+def test_tree_training_memory_within_recursive_builder_peak():
+    # a dataset of the LOSO fold's shape: 880 rows, 112 features, 20 labels
+    rng = np.random.default_rng(6)
+    y = np.arange(880) % 20
+    X = rng.normal(size=(880, 112)) + 0.5 * rng.normal(size=(20, 112))[y]
+    ds = dataset(np.round(X, 2), [f"a{i:02d}" for i in y])
+    # The bounds are the tracemalloc peaks of the recursive builder with the
+    # one-hot block search, which copied X at every node, on this dataset
+    # (numpy 2.4.6). The lockstep builder measured 5,283,644 bytes (rf) and
+    # 4,549,070 (dt): two (112, 880) presort tables plus one batch of
+    # _SPLIT_BLOCK_CELLS cells. Doubling that cap takes rf to about 7.3 MB,
+    # past its bound.
+    for train, bound in ((lambda: train_rf(ds, seed=0), 6_306_077), (lambda: train_dt(ds), 9_747_218)):
+        tracemalloc.start()
+        try:
+            train()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 # --------------------------------------------------------------- random forest

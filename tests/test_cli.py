@@ -295,6 +295,25 @@ def test_classify_misfit_model_params(tmp_path, corpus, capsys):
     assert "Traceback" not in err
 
 
+def test_train_rejects_overflowing_features(tmp_path, corpus, capsys):
+    bad = tmp_path / "corpus"
+    bad.mkdir()
+    for path in corpus.iterdir():
+        (bad / path.name).write_bytes(path.read_bytes())
+    recording = next(p for p in sorted(bad.iterdir()) if p.name != "labels.csv")
+    head, *rows = recording.read_text(encoding="utf-8").splitlines()
+    rows = [row[: row.rindex(",") + 1] + repr(float(row[row.rindex(",") + 1 :]) * 1e200)
+            for row in rows]  # finite samples, all in the last column
+    recording.write_text("\n".join([head, *rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "rf.model"
+    capsys.readouterr()
+    rc = main(["train", "--corpus", str(bad), "--model", "rf", "--W", "128", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "non-finite feature" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_model_channels_guard_classify_and_replay(tmp_path, corpus, capsys):
     s1, s3, s3_acc = tmp_path / "s1", tmp_path / "s3", tmp_path / "s3_acc"
     base = ["train", "--corpus", str(corpus), "--model", "dfam"]

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfam_car.errors import AlignmentError
+from dfam_car.classifiers import FeatureDataset
+from dfam_car.errors import AlignmentError, DataQualityError, TrainingError
 from dfam_car.features import (
     AXIS_FEATURES,
     _pearson,
@@ -191,6 +192,21 @@ def test_features_to_csv(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "a"
     assert float(first[1]) == vecs[0].values[0]
+
+
+def test_overflowing_samples_never_reach_training():
+    rng = np.random.default_rng(51)
+    # finite samples whose variance overflows: std is the first feature that does
+    huge = bundle_from({ch: 1e200 * rng.normal(size=128) for ch in all_channels()}, index=7)
+    with pytest.raises(DataQualityError) as e:
+        extract_features(huge, FS)
+    assert str(e.value) == "window 7: non-finite feature std:phone_acc_x"
+    vec = extract_features(full_bundle(rng), FS)
+    for bad in (np.inf, -np.inf, np.nan):
+        X = np.stack([vec.values, vec.values])
+        X[1, 40] = bad
+        with pytest.raises(TrainingError):
+            FeatureDataset(X, ("a", "b"), vec.schema)
 
 
 def per_axis_reference(arrays_by_channel, fs):
