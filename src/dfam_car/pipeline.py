@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 
 from . import classifiers, dfam
 from .dfam import ActivityLabel, BinLayout
-from .errors import AlignmentError, ConfigError, ParseError
+from .errors import AlignmentError, ConfigError, DataQualityError, ParseError
 from .evaluate import Instance
 from .features import extract_features
 from .hierarchy import (
@@ -188,7 +188,10 @@ def instances_for(
     for rec in recordings:
         fs = next(iter(rec.series.values())).sample_rate_hz
         for bundle in prepare_bundles(rec.series, window_size, cutoff_hz, sensors, devices):
-            payload = window_payload(spec.kind, bundle, fs, layout)
+            try:
+                payload = window_payload(spec.kind, bundle, fs, layout)
+            except DataQualityError as exc:
+                raise DataQualityError(f"{rec.recording_id}: {exc}") from None
             out.append(Instance(str(rec.label), payload, rec.participant_id, rec.recording_id))
     return out
 

@@ -73,14 +73,51 @@ class TimeSeries:
         return len(self.values)
 
 
+def _bypass_init(cls, **fields):
+    """An instance of a frozen dataclass with its attributes set as given,
+    skipping __post_init__'s read-only copy: for rows of a read-only block."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class _Block:
+    """The windows of one segmented series as rows of one read-only (n, W)
+    array, with the magnitude spectra of all rows computed together the first
+    time any of them is asked for."""
+
+    __slots__ = ("values", "_magnitudes")
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self._magnitudes = None
+
+    def magnitudes(self) -> np.ndarray:
+        mags = self._magnitudes
+        if mags is None:
+            # Two threads may both get here and compute this block; their
+            # results are identical and read-only, so whichever is kept is right.
+            mags = np.abs(np.fft.rfft(self.values, axis=-1))
+            mags.setflags(write=False)
+            self._magnitudes = mags
+        return mags
+
+
 @dataclass(frozen=True, eq=False)
 class Window:
+    """W consecutive samples of one channel. Windows from `segment` are
+    read-only views into their series; one built directly copies its values."""
+
     values: np.ndarray
     index: int
     channel: Channel
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
+        values = _readonly(self.values)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_block", _Block(values[np.newaxis]))
+        object.__setattr__(self, "_row", 0)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -88,7 +125,12 @@ class Window:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """One-sided magnitude spectrum of a window, bins k = 0 .. W/2."""
+    """One-sided magnitude spectrum of a window, bins k = 0 .. W/2.
+
+    A spectrum from `spectrum` is a read-only row of the magnitudes of its
+    window's whole block, so holding it (or any window of that block) keeps
+    the magnitudes of every window of the series in memory.
+    """
 
     bin_magnitudes: np.ndarray
     bin_width_hz: float
@@ -140,7 +182,10 @@ def low_pass_filter(series: TimeSeries, cutoff_hz: float = DEFAULT_CUTOFF_HZ) ->
 
 
 def segment(series: TimeSeries, window_size: int) -> list[Window]:
-    """Split into consecutive non-overlapping windows; trailing remainder is dropped."""
+    """Split into consecutive non-overlapping windows; trailing remainder is dropped.
+
+    The windows are read-only row views of one (n, W) reshape of the series.
+    """
     if int(window_size) != window_size or window_size < 2:
         raise ConfigError(f"window_size must be an integer >= 2, got {window_size}")
     window_size = int(window_size)
@@ -149,9 +194,10 @@ def segment(series: TimeSeries, window_size: int) -> list[Window]:
         raise NotEnoughDataError(
             f"series of length {len(series)} is shorter than one window of {window_size}"
         )
+    block = _Block(series.values[: n * window_size].reshape(n, window_size))
     return [
-        Window(series.values[i * window_size : (i + 1) * window_size], i, series.channel)
-        for i in range(n)
+        _bypass_init(Window, values=row, index=i, channel=series.channel, _block=block, _row=i)
+        for i, row in enumerate(block.values)
     ]
 
 
@@ -159,15 +205,18 @@ def spectrum(window: Window, sample_rate_hz: float) -> Spectrum:
     """Magnitude of the DFT at frequencies k*fs/W for k = 0 .. W/2.
 
     Magnitudes are unnormalized, so Parseval reads
-    sum(x**2) == sum(|X_k|**2 over all W bins) / W.
+    sum(x**2) == sum(|X_k|**2 over all W bins) / W. The first call for any
+    window of a block transforms the whole block in one batched rfft, bitwise
+    equal to one rfft per window, so it costs as much as the whole series;
+    later calls only read their row.
     """
     w = len(window)
     if w < 2 or (w & (w - 1)) != 0:
         raise ConfigError(f"window length must be a power of two, got {w}")
     if sample_rate_hz <= 0:
         raise ConfigError(f"sample_rate_hz must be positive, got {sample_rate_hz}")
-    mags = np.abs(np.fft.rfft(window.values))
-    return Spectrum(mags, sample_rate_hz / w)
+    mags = window._block.magnitudes()[window._row]
+    return _bypass_init(Spectrum, bin_magnitudes=mags, bin_width_hz=sample_rate_hz / w)
 
 
 def window_bundles(

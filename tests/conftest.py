@@ -10,7 +10,7 @@ import os
 import numpy as np
 from hypothesis import settings
 
-from dfam_car.signals import Channel, Spectrum, TimeSeries
+from dfam_car.signals import Channel, Spectrum, TimeSeries, Window
 
 settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
@@ -26,6 +26,12 @@ def dft_magnitudes(values: np.ndarray) -> np.ndarray:
     t = np.arange(w)
     basis = np.exp(-2j * np.pi * np.outer(k, t) / w)
     return np.abs(basis @ np.asarray(values, dtype=np.float64))
+
+
+def rfft_spectrum(window: Window, sample_rate_hz: float) -> Spectrum:
+    """Per-window oracle of signals.spectrum: one rfft on this window alone,
+    never on the block its window may share with others."""
+    return Spectrum(np.abs(np.fft.rfft(window.values)), sample_rate_hz / len(window))
 
 
 def tone(freq_hz: float, w: int, fs: float = 50.0, amp: float = 1.0, phase: float = 0.0):

@@ -1,8 +1,14 @@
 import csv
 import json
+import time
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from conftest import rfft_spectrum
+from dfam_car import bench as bench_mod
+from dfam_car import pipeline
 from dfam_car.cli import REPORT_COLUMNS, _read_context, main
 from dfam_car.dfam import classify, extract_signature, load_model
 from dfam_car.errors import ParseError
@@ -23,6 +29,29 @@ def corpus(tmp_path_factory):
     )
     assert rc == 0
     return out
+
+
+def cli_artifacts(out, corpus):
+    """Bytes of every file evaluate --json, train and replay write into out."""
+    out.mkdir()
+    assert main(["evaluate", "--corpus", str(corpus), "--protocol", "kfold", "--k", "3",
+                 "--models", "dfam", "--W", "64,128", "--g", "1,3", "--seed", "2",
+                 "--out", str(out / "report.csv"), "--json", str(out / "report.json")]) == 0
+    train = ["train", "--corpus", str(corpus), "--model", "dfam", "--W", "64"]
+    assert main(train + ["--relabel", "moving", "--out", str(out / "s1.dfam")]) == 0
+    assert main(train + ["--relabel", "distracted", "--out", str(out / "s3.dfam")]) == 0
+    recording = next(p for p in sorted(corpus.iterdir()) if "walking+eating" in p.name)
+    assert main(["replay", "--recording", str(recording), "--s1-model", str(out / "s1.dfam"),
+                 "--s3-model", str(out / "s3.dfam"), "--out", str(out / "events.jsonl")]) == 0
+    return read_bytes_tree(out)
+
+
+def test_block_spectra_leave_cli_artifacts_byte_identical(tmp_path, corpus, monkeypatch):
+    shipped = cli_artifacts(tmp_path / "shipped", corpus)
+    monkeypatch.setattr(pipeline, "spectrum", rfft_spectrum)
+    assert cli_artifacts(tmp_path / "per_window", corpus) == shipped
+    assert set(shipped) == {"report.csv", "report.json", "s1.dfam", "s3.dfam", "events.jsonl"}
+    assert shipped["events.jsonl"]
 
 
 def test_gen_deterministic(tmp_path, corpus):
@@ -245,6 +274,31 @@ def test_bench_smoke(tmp_path):
         assert entry["min_ms"] <= entry["median_ms"] <= entry["p95_ms"]
 
 
+def test_bench_times_every_dfam_window_with_its_own_transforms(monkeypatch):
+    """Each timed DFAM call runs one rfft per channel on its window alone: no
+    spectrum cached by training, warm-up or an earlier repetition is read."""
+    rfft = np.fft.rfft
+    rows = []  # rows transformed by each rfft call, in order
+    ticks = []  # len(rows) at each read of the benchmark's clock
+
+    def counting_rfft(a, *args, **kwargs):
+        rows.append(1 if np.ndim(a) == 1 else np.shape(a)[0])
+        return rfft(a, *args, **kwargs)
+
+    def clock():
+        ticks.append(len(rows))
+        return time.perf_counter()
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    monkeypatch.setattr(bench_mod, "time", SimpleNamespace(perf_counter=clock))
+    n_channels = len(bench_mod.build_bench_windows(12, 5, 64)[1][0][1])
+    bench_mod.run_benchmark([ModelSpec.parse("dfam")], train_size=12, n_test=5,
+                            window_size=64, repetitions=3)
+    assert len(ticks) == 2 * 5 * 3
+    for start, stop in zip(ticks[::2], ticks[1::2]):
+        assert rows[start:stop] == [1] * n_channels
+
+
 def test_malformed_recording_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text(
@@ -295,7 +349,10 @@ def test_classify_misfit_model_params(tmp_path, corpus, capsys):
     assert "Traceback" not in err
 
 
-def test_train_rejects_overflowing_features(tmp_path, corpus, capsys):
+@pytest.fixture
+def overflowing_corpus(tmp_path, corpus):
+    """A copy of the corpus whose first recording's last column is scaled by
+    1e200: finite samples whose features overflow. Returns (corpus, that id)."""
     bad = tmp_path / "corpus"
     bad.mkdir()
     for path in corpus.iterdir():
@@ -305,12 +362,32 @@ def test_train_rejects_overflowing_features(tmp_path, corpus, capsys):
     rows = [row[: row.rindex(",") + 1] + repr(float(row[row.rindex(",") + 1 :]) * 1e200)
             for row in rows]  # finite samples, all in the last column
     recording.write_text("\n".join([head, *rows]) + "\n", encoding="utf-8")
+    return bad, recording.stem
+
+
+def test_train_rejects_overflowing_features(tmp_path, overflowing_corpus, capsys):
+    bad, recording_id = overflowing_corpus
     out = tmp_path / "rf.model"
     capsys.readouterr()
     rc = main(["train", "--corpus", str(bad), "--model", "rf", "--W", "128", "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "non-finite feature" in err and "Traceback" not in err
+    assert err.startswith(f"error: {recording_id}: window 0: non-finite feature "), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_evaluate_names_the_recording_of_overflowing_features(tmp_path, overflowing_corpus,
+                                                             capsys):
+    bad, recording_id = overflowing_corpus
+    out = tmp_path / "report.csv"
+    capsys.readouterr()
+    rc = main(["evaluate", "--corpus", str(bad), "--protocol", "loso", "--models", "nb",
+               "--W", "128", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {recording_id}: window 0: non-finite feature "), err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
-from conftest import dft_magnitudes, series, tone
+from conftest import dft_magnitudes, rfft_spectrum, series, tone
 from dfam_car.errors import (
     AlignmentError,
     ConfigError,
@@ -16,6 +16,7 @@ from dfam_car.signals import (
     Channel,
     _butter_low_pass,
     TimeSeries,
+    Window,
     all_channels,
     low_pass_filter,
     read_recording,
@@ -169,6 +170,63 @@ def test_spectrum_matches_direct_dft(w):
         sp = spectrum(segment(series(vals), w)[0], FS)
         oracle = dft_magnitudes(vals)
         assert np.allclose(sp.bin_magnitudes, oracle, rtol=1e-9, atol=1e-9)
+
+
+@settings(max_examples=150)
+@given(
+    log2_w=st.integers(1, 10),
+    n_windows=st.integers(1, 300),
+    remainder=st.integers(0, 1023),
+    kind=st.sampled_from(["zero", "constant", "normal"]),
+    scale=st.sampled_from([1e-100, 1e-6, 1.0, 1e6, 1e100]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(log2_w=10, n_windows=300, remainder=0, kind="normal", scale=1e100, seed=0)
+@example(log2_w=1, n_windows=1, remainder=1, kind="constant", scale=1e-100, seed=0)
+def test_block_spectra_bitwise_equal_per_window_rfft(
+    log2_w, n_windows, remainder, kind, scale, seed
+):
+    w = 2**log2_w
+    rng = np.random.default_rng(seed)
+    length = n_windows * w + remainder % w
+    vals = {"zero": np.zeros(length), "constant": np.full(length, scale),
+            "normal": scale * rng.normal(size=length)}[kind]
+    wins = segment(series(vals), w)
+    assert len(wins) == n_windows
+    # the block is transformed by whichever window asks first
+    for i in rng.permutation(n_windows):
+        sp, oracle = spectrum(wins[i], FS), rfft_spectrum(wins[i], FS)
+        assert sp.bin_magnitudes.tobytes() == oracle.bin_magnitudes.tobytes()
+        assert sp.bin_width_hz == oracle.bin_width_hz
+    direct = Window(vals[:w], 5, Channel("watch", "gyr", "z"))
+    assert spectrum(direct, FS).bin_magnitudes.tobytes() == (
+        rfft_spectrum(direct, FS).bin_magnitudes.tobytes()
+    )
+
+
+def test_segment_windows_are_read_only_views_of_their_series():
+    s = series(np.arange(256.0))
+    wins = segment(s, 64)
+    assert all(np.shares_memory(win.values, s.values) for win in wins)
+    sp = spectrum(wins[2], FS)
+    for arr in (wins[2].values, sp.bin_magnitudes, spectrum(wins[0], FS).bin_magnitudes):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert np.array_equal(wins[2].values, np.arange(128.0, 192.0))
+
+
+def test_direct_window_does_not_follow_its_source_array():
+    src = np.arange(64.0)
+    win = Window(src, 3, Channel("phone", "gyr", "y"))
+    expected = rfft_spectrum(win, FS).bin_magnitudes
+    src[:] = 0.0  # written after the window was built, before its spectrum
+    assert np.array_equal(win.values, np.arange(64.0))
+    assert not np.shares_memory(win.values, src)
+    sp = spectrum(win, FS)
+    assert np.array_equal(sp.bin_magnitudes, expected)
+    for arr in (win.values, sp.bin_magnitudes):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_parseval():
