@@ -114,14 +114,6 @@ def nb_log_posterior(model: FeatureModel, x: np.ndarray) -> np.ndarray:
     return model.params["log_prior"] + loglik
 
 
-def nb_posterior(model: FeatureModel, x: np.ndarray) -> np.ndarray:
-    """Normalized posterior over labels (sums to 1)."""
-    logp = nb_log_posterior(model, x)
-    logp = logp - logp.max()
-    p = np.exp(logp)
-    return p / p.sum()
-
-
 # ------------------------------------------------------------------------ knn
 
 def train_knn(dataset: FeatureDataset, k: int) -> FeatureModel:

@@ -226,13 +226,26 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+_CONTEXT_FLAGS = {"0": False, "1": True, "false": False, "true": True, "no": False, "yes": True}
+
+
 def _read_context(path) -> dict[int, bool]:
+    """window_index -> smartphone_in_use; each index at most once, each flag
+    one of 0, 1, true, false, yes and no (any case)."""
     flags: dict[int, bool] = {}
     for lineno, (index, in_use) in csv_rows(path, ("window_index", "smartphone_in_use")):
         try:
-            flags[int(index)] = in_use.strip().lower() in ("1", "true", "yes")
+            i = int(index)
         except ValueError:
-            raise ParseError(f"bad window index {index!r}", lineno, path) from None
+            i = -1
+        if i < 0:
+            raise ParseError(f"bad window index {index!r}", lineno, path)
+        if i in flags:
+            raise ParseError(f"window index {i} is listed twice", lineno, path)
+        flag = _CONTEXT_FLAGS.get(in_use.strip().lower())
+        if flag is None:
+            raise ParseError(f"bad smartphone_in_use flag {in_use!r}", lineno, path)
+        flags[i] = flag
     return flags
 
 

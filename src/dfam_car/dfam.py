@@ -179,10 +179,6 @@ def match_score(test: Signature, train: Signature) -> float:
     return float((c / test.s) ** test.s)
 
 
-def _label_str(label) -> str:
-    return str(label)
-
-
 @dataclass(frozen=True, eq=False)
 class DfamModel:
     """Immutable trained store of (label, signature) instances.
@@ -287,7 +283,7 @@ def train_from_signatures(
     """
     by_label: dict[str, list[Signature]] = {}
     for label, sig in pairs:
-        by_label.setdefault(_label_str(label), []).append(sig)
+        by_label.setdefault(str(label), []).append(sig)
     if not by_label:
         raise TrainingError("empty training dataset")
     for sigs in by_label.values():
@@ -302,27 +298,6 @@ def train_from_signatures(
             sigs = [sigs[i] for i in idx]
         kept.extend((label, sig) for sig in sigs)
     return DfamModel(layout, window_size, tuple(kept), channels)
-
-
-def train(
-    window_sets: Iterable[tuple[object, Sequence[Spectrum]]],
-    layout: BinLayout,
-    seed: int = 0,
-) -> DfamModel:
-    """Extract signatures from labeled multi-axis window sets, then train."""
-    pairs = []
-    window_size = None
-    for label, spectra in window_sets:
-        sig = extract_signature(spectra, layout)
-        w = spectra[0].window_size
-        if window_size is None:
-            window_size = w
-        elif w != window_size:
-            raise AlignmentError(f"window sets mix sizes {window_size} and {w}")
-        pairs.append((label, sig))
-    if window_size is None:
-        raise TrainingError("empty training dataset")
-    return train_from_signatures(pairs, layout, window_size, seed)
 
 
 _CHANNEL_BY_KEY = {ch.key: ch for ch in all_channels()}

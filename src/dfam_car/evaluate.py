@@ -3,11 +3,14 @@
 Protocol runners are generic over the model: they take a train function
 (instances -> model) and a predict function (model, instance -> label).
 Instances are put into a canonical order before splitting, so reports are
-invariant to input ordering for a fixed seed.
+invariant to input ordering for a fixed seed. A protocol only gives every
+instance a group (a fold, a block or a participant); one held-out loop then
+tests each group against a model trained on all the others.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -171,18 +174,33 @@ def metrics(confusion: ConfusionMatrix) -> EvaluationReport:
     return EvaluationReport(confusion, confusion.accuracy, per_class, averages)
 
 
-def _run_rounds(
-    rounds: Sequence[tuple[list[Instance], list[Instance]]],
-    train_fn: TrainFn,
-    predict_fn: PredictFn,
-    labels: Sequence[str],
-) -> ConfusionMatrix:
-    pairs = []
-    for train_set, test_set in rounds:
-        model = train_fn(train_set)
-        for inst in test_set:
-            pairs.append((inst.label, predict_fn(model, inst)))
-    return ConfusionMatrix.from_pairs(pairs, labels)
+def _held_out(
+    ordered: Sequence[Instance], groups: Sequence, train_fn: TrainFn, predict_fn: PredictFn
+) -> dict:
+    """The one protocol loop. groups[j] is the group of ordered[j]; for each group
+    in sorted order, train on every other group's instances (in canonical order)
+    and predict the group's. Returns group -> (truth, prediction) pairs."""
+    rounds = {}
+    for held in sorted(set(groups)):
+        model = train_fn([inst for inst, g in zip(ordered, groups) if g != held])
+        test = [inst for inst, g in zip(ordered, groups) if g == held]
+        rounds[held] = [(inst.label, predict_fn(model, inst)) for inst in test]
+    return rounds
+
+
+def _report(ordered: Sequence[Instance], *rounds) -> EvaluationReport:
+    """metrics over the pooled (truth, prediction) pairs of the given rounds."""
+    pooled = [pair for group in rounds for pair in group]
+    return metrics(ConfusionMatrix.from_pairs(pooled, sorted({i.label for i in ordered})))
+
+
+def _id_groups(ordered: Sequence[Instance], field: str, runner: str, protocol: str) -> list:
+    groups = [getattr(i, field) for i in ordered]
+    if None in groups:
+        raise ConfigError(f"{runner} requires every instance to carry a {field} id")
+    if len(set(groups)) < 2:
+        raise ConfigError(f"{protocol} needs at least 2 {field}s, got {len(set(groups))}")
+    return groups
 
 
 def loocv_blocks(
@@ -191,18 +209,8 @@ def loocv_blocks(
     """Leave-one-block-out: each block is tested once against a model
     trained on all other blocks; one pooled confusion matrix."""
     ordered = _canonical(instances)
-    if any(i.block is None for i in ordered):
-        raise ConfigError("loocv_blocks requires every instance to carry a block id")
-    blocks = sorted({i.block for i in ordered})
-    if len(blocks) < 2:
-        raise ConfigError(f"loocv needs at least 2 blocks, got {len(blocks)}")
-    labels = sorted({i.label for i in ordered})
-    rounds = []
-    for b in blocks:
-        rounds.append(
-            ([i for i in ordered if i.block != b], [i for i in ordered if i.block == b])
-        )
-    return metrics(_run_rounds(rounds, train_fn, predict_fn, labels))
+    groups = _id_groups(ordered, "block", "loocv_blocks", "loocv")
+    return _report(ordered, *_held_out(ordered, groups, train_fn, predict_fn).values())
 
 
 def kfold_assignments(n_per_label: dict[str, int], k: int, seed: int) -> dict[str, list[int]]:
@@ -234,22 +242,11 @@ def kfold(
         raise ConfigError(f"k must be >= 2, got {k}")
     if len(ordered) < k:
         raise ConfigError(f"dataset of size {len(ordered)} is smaller than k={k}")
-    by_label: dict[str, list[Instance]] = {}
-    for inst in ordered:
-        by_label.setdefault(inst.label, []).append(inst)
-    assignment = kfold_assignments({lbl: len(v) for lbl, v in by_label.items()}, k, seed)
-    fold_of: dict[int, int] = {}
-    pos_of = {id(inst): j for j, inst in enumerate(ordered)}
-    for label, members in by_label.items():
-        for i, inst in enumerate(members):
-            fold_of[pos_of[id(inst)]] = assignment[label][i]
-    labels = sorted(by_label)
-    rounds = []
-    for fold in range(k):
-        train_set = [inst for j, inst in enumerate(ordered) if fold_of[j] != fold]
-        test_set = [inst for j, inst in enumerate(ordered) if fold_of[j] == fold]
-        rounds.append((train_set, test_set))
-    return metrics(_run_rounds(rounds, train_fn, predict_fn, labels))
+    assignment = kfold_assignments(Counter(i.label for i in ordered), k, seed)
+    # canonical order sorts by label first, so each label's instances are one
+    # run, in label order; with len >= k the round-robin deal fills all k folds
+    folds = [fold for label in sorted(assignment) for fold in assignment[label]]
+    return _report(ordered, *_held_out(ordered, folds, train_fn, predict_fn).values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,21 +272,9 @@ def loso(
     errors if mispredicted); the run completes regardless.
     """
     ordered = _canonical(instances)
-    if any(i.participant is None for i in ordered):
-        raise ConfigError("loso requires every instance to carry a participant id")
-    participants = sorted({i.participant for i in ordered})
-    if len(participants) < 2:
-        raise ConfigError(f"loso needs at least 2 participants, got {len(participants)}")
-    labels = sorted({i.label for i in ordered})
-    per_participant = {}
-    pooled_pairs = []
-    for p in participants:
-        train_set = [i for i in ordered if i.participant != p]
-        test_set = [i for i in ordered if i.participant == p]
-        model = train_fn(train_set)
-        pairs = [(inst.label, predict_fn(model, inst)) for inst in test_set]
-        pooled_pairs.extend(pairs)
-        per_participant[p] = metrics(ConfusionMatrix.from_pairs(pairs, labels))
-    pooled = metrics(ConfusionMatrix.from_pairs(pooled_pairs, labels))
+    groups = _id_groups(ordered, "participant", "loso", "loso")
+    rounds = _held_out(ordered, groups, train_fn, predict_fn)
+    per_participant = {p: _report(ordered, pairs) for p, pairs in rounds.items()}
+    pooled = _report(ordered, *rounds.values())
     mean_accuracy = float(np.mean([r.accuracy for r in per_participant.values()]))
     return LosoReport(per_participant, pooled, mean_accuracy)

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -35,8 +34,6 @@ class FeatureVector:
                 f"{len(arr)} values do not match schema of length {len(self.schema)}"
             )
 
-    def schema_hash(self) -> str:
-        return hashlib.sha256(repr(self.schema).encode()).hexdigest()
 
 
 def fft_energy(values: np.ndarray) -> float:
@@ -172,27 +169,3 @@ def extract_features(
         name, key = schema[bad[0]]
         raise DataQualityError(f"window {indices.pop()}: non-finite feature {name}:{key}")
     return FeatureVector(values, schema)
-
-
-def features_to_csv(path, vectors: Sequence[FeatureVector], labels=None) -> None:
-    """Export a feature matrix with a schema header row (optional label column)."""
-    if not vectors:
-        raise AlignmentError("no feature vectors to export")
-    schema = vectors[0].schema
-    for v in vectors:
-        if v.schema != schema:
-            raise AlignmentError("feature vectors have differing schemas")
-    if labels is not None and len(labels) != len(vectors):
-        raise AlignmentError("labels do not match feature vectors")
-    header = [f"{name}:{key}" for name, key in schema]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if labels is not None:
-            fh.write("label," + ",".join(header) + "\n")
-        else:
-            fh.write(",".join(header) + "\n")
-        for i, v in enumerate(vectors):
-            row = ",".join(repr(float(x)) for x in v.values)
-            if labels is not None:
-                fh.write(f"{labels[i]},{row}\n")
-            else:
-                fh.write(row + "\n")

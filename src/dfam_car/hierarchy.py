@@ -48,11 +48,6 @@ class HierarchicalState:
 
 
 @dataclass(frozen=True)
-class ContextFlags:
-    smartphone_in_use: bool = False
-
-
-@dataclass(frozen=True)
 class DistractionEvent:
     window_index: int
     state: str
@@ -80,52 +75,16 @@ def _require_binary(model: DfamModel | None, expected: set[str], state: str) -> 
         )
 
 
-def step(
-    state: HierarchicalState,
-    spectra: Sequence[Spectrum],
-    context: ContextFlags,
-    s1_model: DfamModel,
-    s3_model: DfamModel,
-    s1_axes: Sequence[int] | None = None,
-    s3_axes: Sequence[int] | None = None,
-    window_index: int = 0,
-) -> tuple[HierarchicalState, DistractionEvent | None]:
-    """Process one window in the current state and advance the machine.
-
-    The reset counter ticks on every window; when it reaches the period the
-    machine returns to S1 unconditionally, overriding the computed move.
-    """
-    _require_binary(s1_model, {MOVING_LABEL, NOT_MOVING_LABEL}, S1)
-    _require_binary(s3_model, {DISTRACTED_LABEL, NOT_DISTRACTED_LABEL}, S3)
-    event = None
-    if state.state == S1:
-        pick = spectra if s1_axes is None else [spectra[i] for i in s1_axes]
-        result = classify(extract_signature(pick, s1_model.layout), s1_model)
-        next_state = S2 if result.label == MOVING_LABEL else S1
-    elif state.state == S2:
-        if context.smartphone_in_use:
-            event = DistractionEvent(window_index, S2, EVENT_SMARTPHONE, "using_smartphone", 1.0)
-            next_state = S1
-        else:
-            next_state = S3
-    else:
-        pick = spectra if s3_axes is None else [spectra[i] for i in s3_axes]
-        result = classify(extract_signature(pick, s3_model.layout), s3_model)
-        if result.label == DISTRACTED_LABEL:
-            event = DistractionEvent(
-                window_index, S3, EVENT_MOTION, result.label, result.scores[result.label]
-            )
-        next_state = S3
-    ticks = state.windows_since_reset + 1
-    if ticks >= state.reset_period:
-        return HierarchicalState(S1, 0, state.reset_period), event
-    return HierarchicalState(next_state, ticks, state.reset_period), event
+def _classify(spectra: Sequence[Spectrum], axes: tuple[int, ...] | None, model: DfamModel):
+    pick = spectra if axes is None else [spectra[i] for i in axes]
+    return classify(extract_signature(pick, model.layout), model)
 
 
 class HierarchicalCar:
-    """Stateful wrapper around step() that keeps counters and the event log.
+    """The state machine over one stream, with its counters and event log.
 
-    One instance per stream; not shared across threads.
+    Both models are checked once, here. One instance per stream; not shared
+    across threads.
     """
 
     def __init__(
@@ -157,21 +116,34 @@ class HierarchicalCar:
     def process(
         self, spectra: Sequence[Spectrum], smartphone_in_use: bool = False
     ) -> DistractionEvent | None:
-        self.trace.append(self.state.state)
-        if self.state.state == S1:
+        """Process one window in the current state and advance the machine.
+
+        The reset counter ticks on every window; when it reaches the period the
+        machine returns to S1 unconditionally, overriding the computed move.
+        """
+        state, i = self.state, self._window_index
+        self.trace.append(state.state)
+        event = None
+        if state.state == S1:
             self.s1_invocations += 1
-        elif self.state.state == S3:
+            moving = _classify(spectra, self.s1_axes, self.s1_model).label == MOVING_LABEL
+            next_state = S2 if moving else S1
+        elif state.state == S2:
+            if smartphone_in_use:
+                event = DistractionEvent(i, S2, EVENT_SMARTPHONE, "using_smartphone", 1.0)
+                next_state = S1
+            else:
+                next_state = S3
+        else:
             self.s3_invocations += 1
-        self.state, event = step(
-            self.state,
-            spectra,
-            ContextFlags(smartphone_in_use),
-            self.s1_model,
-            self.s3_model,
-            self.s1_axes,
-            self.s3_axes,
-            self._window_index,
-        )
+            label, scores, _ = _classify(spectra, self.s3_axes, self.s3_model)
+            if label == DISTRACTED_LABEL:
+                event = DistractionEvent(i, S3, EVENT_MOTION, label, scores[label])
+            next_state = S3
+        ticks = state.windows_since_reset + 1
+        if ticks >= state.reset_period:
+            next_state, ticks = S1, 0
+        self.state = HierarchicalState(next_state, ticks, state.reset_period)
         self._window_index += 1
         if event is not None:
             self.events.append(event)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -211,39 +211,26 @@ def signature_instances(
 
 # --------------------------------------------------------- hierarchy helpers
 
-def relabel_moving(instances: Sequence[Instance]) -> list[Instance]:
-    """Map activity labels to the binary moving/not-moving gate labels."""
+def _relabel(instances: Sequence[Instance], label_of) -> list[Instance]:
+    """Each instance under label_of(its ActivityLabel); None drops it."""
     out = []
     for inst in instances:
-        moving = ActivityLabel.parse(inst.label).is_moving
-        out.append(
-            Instance(
-                MOVING_LABEL if moving else NOT_MOVING_LABEL,
-                inst.payload,
-                inst.participant,
-                inst.block,
-            )
-        )
+        label = label_of(ActivityLabel.parse(inst.label))
+        if label is not None:
+            out.append(replace(inst, label=label))
     return out
+
+
+def relabel_moving(instances: Sequence[Instance]) -> list[Instance]:
+    """Map activity labels to the binary moving/not-moving gate labels."""
+    return _relabel(instances, lambda a: MOVING_LABEL if a.is_moving else NOT_MOVING_LABEL)
 
 
 def relabel_distracted(instances: Sequence[Instance]) -> list[Instance]:
     """Map moving-window labels to binary distracted/not-distracted; drops
     windows whose locomotion is not a moving one."""
-    out = []
-    for inst in instances:
-        label = ActivityLabel.parse(inst.label)
-        if not label.is_moving:
-            continue
-        out.append(
-            Instance(
-                DISTRACTED_LABEL if label.distraction is not None else NOT_DISTRACTED_LABEL,
-                inst.payload,
-                inst.participant,
-                inst.block,
-            )
-        )
-    return out
+    return _relabel(instances, lambda a: None if not a.is_moving else (
+        NOT_DISTRACTED_LABEL if a.distraction is None else DISTRACTED_LABEL))
 
 
 # --------------------------------------------------------- model file dispatch

@@ -150,10 +150,6 @@ class Spectrum:
     def sample_rate_hz(self) -> float:
         return self.bin_width_hz * self.window_size
 
-    @property
-    def nyquist_hz(self) -> float:
-        return self.bin_width_hz * (self.n_bins - 1)
-
 
 @functools.lru_cache(maxsize=64)
 def _butter_low_pass(cutoff_hz: float, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:

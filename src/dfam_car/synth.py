@@ -74,14 +74,6 @@ class ActivityProfile:
         if self.noise_std < 0:
             raise ConfigError("noise_std must be non-negative")
 
-    def channel_components(self, channel: Channel) -> tuple[Component, ...]:
-        """Components of one channel: the sensor's list scaled by the axis weight."""
-        comps = self.components.get((channel.device, channel.sensor), ())
-        w = self.axis_weights[(channel.device, channel.sensor)][AXES.index(channel.axis)]
-        return tuple(
-            Component(c.frequency_hz, c.amplitude * w, c.phase_jitter_std) for c in comps
-        )
-
 
 def _stack(freqs, base_amp, phase_jitter_std):
     return tuple(
@@ -151,11 +143,8 @@ def generate(
             for comp in profile.components.get((device, sensor), ()):
                 phi0 = rng.uniform(0.0, 2.0 * np.pi)
                 jitters = rng.normal(0.0, comp.phase_jitter_std, n_blocks)
-                for b in range(n_blocks):
-                    sl = slice(b * jitter_block, min(n, (b + 1) * jitter_block))
-                    base[sl] += comp.amplitude * np.sin(
-                        2.0 * np.pi * comp.frequency_hz * t[sl] + phi0 + jitters[b]
-                    )
+                phase = np.repeat(jitters, jitter_block)[:n]  # one jitter per block
+                base += comp.amplitude * np.sin(2.0 * np.pi * comp.frequency_hz * t + phi0 + phase)
             weights = profile.axis_weights[(device, sensor)]
             for axis, w in zip(AXES, weights):
                 noise = rng.normal(0.0, profile.noise_std, n)

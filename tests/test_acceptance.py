@@ -280,7 +280,7 @@ def _hierarchy_models(w=128):
 
 
 def _trace_oracle_s3_count(stream, s1_model, s3_model, reset_period):
-    """Hand replay of the state machine, independent of hierarchy.step."""
+    """Hand replay of the state machine, independent of HierarchicalCar.process."""
     state, ticks, s3_count = "S1", 0, 0
     for spectra, flag in stream:
         if state == "S1":

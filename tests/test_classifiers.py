@@ -13,7 +13,7 @@ from dfam_car.classifiers import (
     dumps_feature_model,
     load_feature_model,
     loads_feature_model,
-    nb_posterior,
+    nb_log_posterior,
     predict,
     save_feature_model,
     svm_decision_values,
@@ -88,8 +88,20 @@ def test_nb_posterior_sums_to_one():
     rng = np.random.default_rng(32)
     ds = blobs(rng, [[0, 0], [2, 2], [0, 4]], per_class=30)
     model = train_nb(ds)
+    y = np.array(ds.labels)
     for x in rng.normal(1, 2, (20, 2)):
-        assert nb_posterior(model, x).sum() == pytest.approx(1.0, abs=1e-9)
+        logp = nb_log_posterior(model, x)
+        p = np.exp(logp - logp.max())
+        p /= p.sum()
+        assert p.sum() == pytest.approx(1.0, abs=1e-9)
+        # prior x Gaussian density per class, normalized by hand
+        brute = []
+        for lbl in model.labels:
+            rows = ds.X[y == lbl]
+            mu, var = rows.mean(axis=0), np.maximum(rows.var(axis=0), 1e-9)
+            dens = np.prod(np.exp(-((x - mu) ** 2) / (2 * var)) / np.sqrt(2 * np.pi * var))
+            brute.append(len(rows) / len(y) * dens)
+        assert p == pytest.approx(np.array(brute) / sum(brute), rel=1e-9, abs=1e-12)
 
 
 def test_nb_empty_dataset():
@@ -513,7 +525,7 @@ def test_serialization_roundtrip_bit_identical(tmp_path):
             assert predict(back, vec(x)) == predict(model, vec(x))
         if model.kind == "naive_bayes":
             for x in pts:
-                assert np.array_equal(nb_posterior(back, x), nb_posterior(model, x))
+                assert np.array_equal(nb_log_posterior(back, x), nb_log_posterior(model, x))
         if model.kind == "svm":
             for x in pts:
                 assert np.array_equal(svm_decision_values(back, x), svm_decision_values(model, x))

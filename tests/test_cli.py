@@ -16,6 +16,11 @@ from dfam_car.pipeline import ModelSpec, bundle_spectra, prepare_bundles
 from dfam_car.signals import read_recording
 
 
+def csv_dicts(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def read_bytes_tree(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 
@@ -121,7 +126,7 @@ def test_classify_recording(tmp_path, corpus, capsys):
          "--out", str(out)]
     )
     assert rc == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = csv_dicts(out)
     assert len(rows) == 500 // 64
     # a DFAM model windows recordings at its own W; another --W is an error
     argv = ["classify", "--model-file", str(model_path), "--recording", str(recording),
@@ -143,7 +148,7 @@ def test_evaluate_kfold_cell_counts(tmp_path, corpus):
          "--out", str(out), "--json", str(json_out)]
     )
     assert rc == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = csv_dicts(out)
     assert len(rows) == 4  # 1 model x 2 window sizes x 2 bin counts
     by_w = {(r["W"], r["g"]): r for r in rows}
     # 2 participants x 20 activities x floor(500/W) windows
@@ -175,7 +180,7 @@ def test_evaluate_loso(tmp_path, corpus):
          "--models", "dfam", "--W", "64", "--g", "3", "--out", str(out)]
     )
     assert rc == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = csv_dicts(out)
     assert rows[0]["mean_participant_accuracy"] != ""
 
 
@@ -186,7 +191,7 @@ def test_evaluate_loocv_blocks_per_recording(tmp_path, corpus):
          "--models", "dfam", "--W", "128", "--g", "3", "--out", str(out)]
     )
     assert rc == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = csv_dicts(out)
     assert int(rows[0]["n"]) == 2 * 20 * (500 // 128)
 
 
@@ -219,7 +224,18 @@ def test_replay_flow(tmp_path, corpus):
         assert ev["state"] in ("S2", "S3")
 
 
-@pytest.mark.parametrize("row", ["x1,1", "0", "0,1,1"])
+def test_replay_context_flags(tmp_path):
+    context = tmp_path / "context.csv"
+    context.write_text(
+        "window_index,smartphone_in_use\n0,1\n1,0\n2,TRUE\n3,false\n4, Yes\n7,NO\n",
+        encoding="utf-8",
+    )
+    assert _read_context(context) == {0: True, 1: False, 2: True, 3: False, 4: True, 7: False}
+
+
+@pytest.mark.parametrize(
+    "row", ["x1,1", "0", "0,1,1", "1,2", "1,Y", "1,on", "1,", "-1,1", "0,1", "0,0"]
+)
 def test_replay_context_bad_row(tmp_path, row):
     context = tmp_path / "context.csv"
     context.write_text(f"window_index,smartphone_in_use\n0,0\n{row}\n", encoding="utf-8")
@@ -251,13 +267,13 @@ def test_model_kinds_train_and_classify(tmp_path, corpus, spec, header):
     rc = main(["classify", "--model-file", str(model), "--recording", str(recording),
                "--out", str(out)])
     assert rc == 0
-    assert len(list(csv.DictReader(out.open()))) == 500 // 128
+    assert len(csv_dicts(out)) == 500 // 128
     # --W overrides a feature model's window size and must match a DFAM model's
     rc = main(["classify", "--model-file", str(model), "--recording", str(recording),
                "--W", "64", "--out", str(out)])
     assert rc == (1 if spec == "dfam" else 0)
     if rc == 0:
-        assert len(list(csv.DictReader(out.open()))) == 500 // 64
+        assert len(csv_dicts(out)) == 500 // 64
 
 
 def test_bench_smoke(tmp_path):
@@ -410,7 +426,7 @@ def test_model_channels_guard_classify_and_replay(tmp_path, corpus, capsys):
     bundles = prepare_bundles(read_recording(recording), 128, devices=("phone",))
     expected = [classify(extract_signature(bundle_spectra(b, 50.0), model.layout), model).label
                 for b in bundles]
-    assert [row["label"] for row in csv.DictReader(out.open())] == expected
+    assert [row["label"] for row in csv_dicts(out)] == expected
     # --sensors acc leaves out the model's gyr channels
     capsys.readouterr()
     assert main(classify_args + ["--sensors", "acc"]) == 1

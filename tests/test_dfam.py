@@ -15,7 +15,6 @@ from dfam_car.dfam import (
     loads_model,
     match_score,
     save_model,
-    train,
     train_from_signatures,
 )
 from dfam_car.errors import AlignmentError, ConfigError, ParseError, TrainingError
@@ -181,7 +180,9 @@ def test_train_disjoint_tone_classes():
     for freq, label in ((3.0, "a"), (9.0, "b")):
         for phase in (0.0, 0.3, 0.9):
             sets.append((label, spectra_for(tone(freq, 128, phase=phase), 128)))
-    model = train(sets, layout, seed=0)
+    model = train_from_signatures(
+        [(label, extract_signature(spectra, layout)) for label, spectra in sets], layout, 128
+    )
     sigs_a = {s.axes for lbl, s in model.instances if lbl == "a"}
     sigs_b = {s.axes for lbl, s in model.instances if lbl == "b"}
     assert sigs_a and sigs_b and not (sigs_a & sigs_b)
@@ -192,12 +193,8 @@ def test_train_errors():
     layout = _tiny_layout()
     with pytest.raises(TrainingError):
         train_from_signatures([], layout, 64)
-    with pytest.raises(TrainingError):
-        train([], layout)
-    a64 = spectra_for(tone(3.0, 64), 64)
-    a128 = spectra_for(tone(3.0, 128), 128)
     with pytest.raises(AlignmentError):
-        train([("a", a64), ("b", a128)], layout)
+        train_from_signatures([("a", sig((3,))), ("b", sig((3,), (5,)))], layout, 64)
 
 
 def test_classify_exact_match_aggregation():

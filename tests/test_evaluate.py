@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dfam_car.errors import ConfigError
 from dfam_car.evaluate import (
@@ -237,3 +241,68 @@ def test_report_to_dict():
     assert d["labels"] == ["a", "b"]
     assert d["confusion"] == [[3, 1], [0, 4]]
     assert set(d["averages"]) == {"weighted", "micro", "macro"}
+
+
+def nearest_spy():
+    """A train/predict pair that records every training list it is given.
+
+    The model is the training list itself; a prediction is the label of the
+    first training instance nearest in payload, so it depends on row order
+    as random forest and kNN do."""
+    calls = []
+
+    def train_fn(instances):
+        calls.append(list(instances))
+        return calls[-1]
+
+    def predict_fn(model, inst):
+        return min(model, key=lambda m: abs(m.payload - inst.payload)).label
+
+    return calls, train_fn, predict_fn
+
+
+PROTOCOLS = {
+    "kfold": lambda inst, t, p: kfold(inst, t, p, k=3, seed=5),
+    "loocv": loocv_blocks,
+    "loso": lambda inst, t, p: loso(inst, t, p).pooled,
+}
+
+instance_lists = st.lists(
+    st.builds(
+        Instance,
+        st.sampled_from(["a", "b", "c"]),
+        st.integers(0, 20),
+        st.sampled_from(["p0", "p1", "p2"]),
+        st.sampled_from(["b0", "b1", "b2", "b3"]),
+    ),
+    min_size=3,
+    max_size=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instance_lists, st.data())
+def test_protocols_train_on_the_same_rows_in_the_same_order(instances, data):
+    assume(len({i.participant for i in instances}) > 1 and len({i.block for i in instances}) > 1)
+    shuffled = data.draw(st.permutations(instances))
+    for protocol in PROTOCOLS.values():
+        calls, train_fn, predict_fn = nearest_spy()
+        report = protocol(instances, train_fn, predict_fn)
+        shuffled_calls, train_fn, predict_fn = nearest_spy()
+        shuffled_report = protocol(shuffled, train_fn, predict_fn)
+        assert shuffled_calls == calls
+        assert np.array_equal(shuffled_report.confusion.counts, report.confusion.counts)
+        assert report.confusion.total == len(instances)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instance_lists)
+def test_loso_pools_like_loocv_over_participant_blocks(instances):
+    assume(len({i.participant for i in instances}) > 1)
+    _, train_fn, predict_fn = nearest_spy()
+    pooled = loso(instances, train_fn, predict_fn).pooled.confusion
+    by_participant = [replace(i, block=i.participant) for i in instances]
+    _, train_fn, predict_fn = nearest_spy()
+    blocks = loocv_blocks(by_participant, train_fn, predict_fn).confusion
+    assert pooled.labels == blocks.labels
+    assert np.array_equal(pooled.counts, blocks.counts)

@@ -11,7 +11,6 @@ from dfam_car.features import (
     AXIS_FEATURES,
     _pearson,
     extract_features,
-    features_to_csv,
     fft_energy,
     instantaneous_speed,
     spectral_entropy,
@@ -154,7 +153,6 @@ def test_schema_stable_and_deterministic():
     a = extract_features(bundle_from(arrays), FS)
     b = extract_features(bundle_from(arrays), FS)
     assert a.schema == b.schema
-    assert a.schema_hash() == b.schema_hash()
     assert np.array_equal(a.values, b.values)
 
 
@@ -179,19 +177,6 @@ def test_alignment_errors():
     unknown = bundle_from({Channel("phone", "mag", a): rng.normal(size=64) for a in AXES})
     with pytest.raises(AlignmentError):
         extract_features(unknown, FS)
-
-
-def test_features_to_csv(tmp_path):
-    rng = np.random.default_rng(20)
-    vecs = [extract_features(full_bundle(rng), FS) for _ in range(3)]
-    path = tmp_path / "features.csv"
-    features_to_csv(path, vecs, labels=["a", "b", "a"])
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0].startswith("label,mean:phone_acc_x,")
-    assert len(lines) == 4
-    first = lines[1].split(",")
-    assert first[0] == "a"
-    assert float(first[1]) == vecs[0].values[0]
 
 
 def test_overflowing_samples_never_reach_training():

@@ -12,10 +12,8 @@ from dfam_car.hierarchy import (
     MOVING_LABEL,
     NOT_DISTRACTED_LABEL,
     NOT_MOVING_LABEL,
-    ContextFlags,
     HierarchicalCar,
     HierarchicalState,
-    step,
     write_events_jsonl,
 )
 
@@ -139,7 +137,7 @@ def test_binary_model_validation():
     with pytest.raises(ConfigError):
         HierarchicalCar(three, s3)
     with pytest.raises(ConfigError):
-        step(HierarchicalState(), spectra_at(1), ContextFlags(), None, s3)
+        HierarchicalCar(None, s3)
 
 
 def test_state_validation():

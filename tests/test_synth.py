@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfam_car.dfam import ActivityLabel, BinLayout
 from dfam_car.errors import ConfigError
 from dfam_car.pipeline import prepare_bundles, signature_instances
-from dfam_car.signals import Channel, all_channels, segment, spectrum
+from dfam_car.signals import AXES, DEVICES, SENSORS, Channel, all_channels, segment, spectrum
 from dfam_car.synth import (
     ActivityProfile,
     Component,
@@ -37,6 +41,47 @@ def test_generate_deterministic():
     c = generate(profile, 10.0, FS, seed=100)
     assert not np.array_equal(a[Channel("phone", "acc", "x")].values,
                               c[Channel("phone", "acc", "x")].values)
+
+
+def per_block_generate(profile, duration_s, fs, seed, jitter_block):
+    """generate() as first written: one np.sin call per jitter block."""
+    n = int(round(duration_s * fs))
+    n_blocks = math.ceil(n / jitter_block)
+    t = np.arange(n) / fs
+    rng = np.random.default_rng(seed)
+    out = {}
+    for device in DEVICES:
+        for sensor in SENSORS:
+            base = np.zeros(n)
+            for comp in profile.components.get((device, sensor), ()):
+                phi0 = rng.uniform(0.0, 2.0 * np.pi)
+                jitters = rng.normal(0.0, comp.phase_jitter_std, n_blocks)
+                for b in range(n_blocks):
+                    sl = slice(b * jitter_block, min(n, (b + 1) * jitter_block))
+                    base[sl] += comp.amplitude * np.sin(
+                        2.0 * np.pi * comp.frequency_hz * t[sl] + phi0 + jitters[b]
+                    )
+            for axis, w in zip(AXES, profile.axis_weights[(device, sensor)]):
+                out[Channel(device, sensor, axis)] = w * base + rng.normal(0.0, profile.noise_std, n)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(default_activity_set()),
+    st.sampled_from(["RR", "LL", "RL", "LR"]),
+    st.floats(0.02, 30.0),
+    st.sampled_from([50.0, 64.0, 100.0]),
+    st.integers(1, 300),
+    st.integers(0, 2**32 - 1),
+)
+def test_generate_bitwise_equal_per_block_oracle(label, placement, duration, fs, block, seed):
+    profile = build_profile(label, placement, noise_std=0.3, amplitude_scale=1.1)
+    got = generate(profile, duration, fs, seed=seed, jitter_block=block)
+    want = per_block_generate(profile, duration, fs, seed, block)
+    assert list(got) == list(want)
+    for ch, series in got.items():
+        assert series.values.tobytes() == want[ch].tobytes()
 
 
 def test_generate_rejects_nyquist_component():
@@ -103,13 +148,11 @@ def test_profile_validation():
 
 def test_channel_components_accessor():
     profile = build_profile(ActivityLabel("walking", "eating"), "RR")
-    phone = profile.channel_components(Channel("phone", "acc", "x"))
-    watch = profile.channel_components(Channel("watch", "acc", "x"))
-    assert len(phone) == 3  # locomotion stack only
-    assert len(watch) == 6  # locomotion + distraction overlay
+    assert len(profile.components[("phone", "acc")]) == 3  # locomotion stack only
+    assert len(profile.components[("watch", "acc")]) == 6  # locomotion + distraction overlay
     # watch y weight is 0.8 of x on the right side
-    watch_y = profile.channel_components(Channel("watch", "acc", "y"))
-    assert watch_y[0].amplitude == pytest.approx(0.8 * watch[0].amplitude)
+    x_weight, y_weight, _ = profile.axis_weights[("watch", "acc")]
+    assert y_weight == pytest.approx(0.8 * x_weight)
 
 
 def test_corpus_shape_and_sidecar(tmp_path):
