@@ -258,6 +258,11 @@ def cmd_replay(args) -> int:
     series = read_recording(args.recording, args.fs, sensors)
     bundles = pipeline.prepare_bundles(series, s3_model.window_size, args.cutoff, sensors)
     flags = _read_context(args.context) if args.context else {}
+    if flags and max(flags) >= len(bundles):
+        raise ConfigError(
+            f"{args.context}: window_index {max(flags)} is past the last window;"
+            f" the recording has {len(bundles)} windows"
+        )
     channels = sorted(bundles[0]) if bundles else []
     s1_axes = None
     if args.s1_channels == "phone":

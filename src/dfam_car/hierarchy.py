@@ -149,13 +149,6 @@ class HierarchicalCar:
             self.events.append(event)
         return event
 
-    def run(
-        self, stream: Sequence[tuple[Sequence[Spectrum], bool]]
-    ) -> list[DistractionEvent]:
-        for spectra, flag in stream:
-            self.process(spectra, flag)
-        return self.events
-
 
 def write_events_jsonl(events: Sequence[DistractionEvent], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

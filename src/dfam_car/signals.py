@@ -7,6 +7,7 @@ read-only so instances can be shared freely across threads.
 from __future__ import annotations
 
 import functools
+import io
 import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
@@ -249,19 +250,19 @@ def read_utf8(path) -> str:
         raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8", line, path) from None
 
 
-def csv_rows(path, header: tuple[str, ...]):
-    """Yield (lineno, fields) for every non-blank row after the header.
-
-    The format is the one this package writes: UTF-8, comma-separated, no
-    quoting; LF or CRLF line endings. Each ParseError names file and line.
-    """
+def _header_checked(path, header: tuple[str, ...]) -> str:
+    """The whole text of a CSV file whose first line is `header`."""
     text = read_utf8(path)
     if not text:
         raise ParseError("empty file", 1, path)
+    first = text.partition("\n")[0]
+    if tuple(f.strip() for f in first.split(",")) != header:
+        raise ParseError(f"bad header {first!r}, expected {','.join(header)}", 1, path)
+    return text
+
+
+def _body_rows(text: str, n: int, path):
     lines = text.split("\n")
-    if tuple(f.strip() for f in lines[0].split(",")) != header:
-        raise ParseError(f"bad header {lines[0]!r}, expected {','.join(header)}", 1, path)
-    n = len(header)
     for lineno, line in enumerate(lines[1:], start=2):
         line = line.removesuffix("\r")
         if not line:
@@ -274,6 +275,15 @@ def csv_rows(path, header: tuple[str, ...]):
         yield lineno, fields
 
 
+def csv_rows(path, header: tuple[str, ...]):
+    """Yield (lineno, fields) for every non-blank row after the header.
+
+    The format is the one this package writes: UTF-8, comma-separated, no
+    quoting; LF or CRLF line endings. Each ParseError names file and line.
+    """
+    yield from _body_rows(_header_checked(path, header), len(header), path)
+
+
 def _parse_float(text: str, what: str, line: int, path) -> float:
     try:
         value = float(text)
@@ -284,20 +294,12 @@ def _parse_float(text: str, what: str, line: int, path) -> float:
     return value
 
 
-def read_recording(
-    path,
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
-    sensors: Sequence[str] = SENSORS,
-) -> dict[Channel, TimeSeries]:
-    """Read one recording session CSV into per-channel series.
-
-    Header: timestamp_ms,device,sensor,x,y,z. Timestamps within one
-    (device, sensor) stream must be non-decreasing. Samples are assumed
-    uniform at the declared rate (no resampling).
-    """
+def _row_streams(text: str, path) -> dict[tuple[str, str], np.ndarray]:
+    """Each (device, sensor) stream's (n, 3) samples, read row by row with
+    float(); the first bad row is a ParseError naming its line."""
     last_ts: dict[tuple[str, str], float] = {}
     samples: dict[tuple[str, str], list[float]] = {}
-    for lineno, (ts, device, sensor, x, y, z) in csv_rows(path, CSV_FIELDS):
+    for lineno, (ts, device, sensor, x, y, z) in _body_rows(text, len(CSV_FIELDS), path):
         ts = _parse_float(ts, "timestamp", lineno, path)
         device, sensor = device.strip(), sensor.strip()
         key = (device, sensor)
@@ -314,11 +316,70 @@ def read_recording(
             raise ParseError(f"timestamp went backwards for {device}/{sensor}", lineno, path)
         last_ts[key] = ts
         samples.setdefault(key, []).extend(xyz)
+    return {key: np.array(flat, dtype=np.float64).reshape(-1, 3) for key, flat in samples.items()}
+
+
+# Every byte of a recording body that numpy's reader may parse: numbers
+# (nan and inf included), the four stream names, commas and LF. Any other
+# byte could read differently there than in the row loop: numpy drops a
+# string's trailing NULs, and ends a row at \r as well as \n.
+_BULK_ALPHABET = b"0123456789.+-eE,\n" + bytes(sorted(set(b"phonewatchaccgyrnaninf")))
+# One character wider than the longest device and sensor name, since numpy
+# cuts a longer field down to the width of its dtype.
+_BULK_ROW = np.dtype([("ts", "f8"), ("device", "U6"), ("sensor", "U4"), ("xyz", "f8", (3,))])
+
+
+def _bulk_streams(body: str) -> dict[tuple[str, str], np.ndarray] | None:
+    """What _row_streams returns for this body, parsed by numpy's C reader
+    and checked in bulk; None when that cannot vouch for the body, which is
+    then for the row loop to accept or to name its bad line."""
+    if not body.isascii() or body.encode("ascii").translate(None, _BULK_ALPHABET):
+        return None
+    if not body.strip("\n"):  # no row, on which numpy would warn
+        return None
+    try:
+        rows = np.loadtxt(
+            io.StringIO(body), dtype=_BULK_ROW, delimiter=",", comments=None, ndmin=1
+        )
+    except ValueError:
+        return None
+    ts, xyz = rows["ts"], rows["xyz"]
+    if not (np.isfinite(ts).all() and np.isfinite(xyz).all()):
+        return None
+    streams = {}
+    for device in DEVICES:
+        for sensor in SENSORS:
+            mask = (rows["device"] == device) & (rows["sensor"] == sensor)
+            stream_ts = ts[mask]
+            if (stream_ts[1:] < stream_ts[:-1]).any():
+                return None
+            if len(stream_ts):
+                streams[(device, sensor)] = xyz[mask]
+    if sum(map(len, streams.values())) != len(rows):  # an unknown device or sensor
+        return None
+    return streams
+
+
+def read_recording(
+    path,
+    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
+    sensors: Sequence[str] = SENSORS,
+) -> dict[Channel, TimeSeries]:
+    """Read one recording session CSV into per-channel series.
+
+    Header: timestamp_ms,device,sensor,x,y,z. Timestamps within one
+    (device, sensor) stream must be non-decreasing. Samples are assumed
+    uniform at the declared rate (no resampling). A body of plain LF rows is
+    parsed in one pass of numpy's reader; any other goes through the row loop.
+    """
+    text = _header_checked(path, CSV_FIELDS)
+    streams = _bulk_streams(text.partition("\n")[2])
+    if streams is None:
+        streams = _row_streams(text, path)
     out: dict[Channel, TimeSeries] = {}
-    for (device, sensor), flat in sorted(samples.items()):
+    for (device, sensor), arr in sorted(streams.items()):
         if sensor not in sensors:
             continue
-        arr = np.array(flat, dtype=np.float64).reshape(-1, 3)
         for j, axis in enumerate(AXES):
             ch = Channel(device, sensor, axis)
             out[ch] = TimeSeries(ch, sample_rate_hz, arr[:, j])

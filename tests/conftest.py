@@ -49,3 +49,11 @@ def spectrum_with_peak(k: int, n_bins: int = 9, fs: float = 50.0) -> Spectrum:
     mags[k] = 1.0
     w = 2 * (n_bins - 1)
     return Spectrum(mags, fs / w)
+
+
+def replay(car, stream) -> list:
+    """Feed (spectra, smartphone_in_use) pairs to the machine one window at a
+    time, as `dfam-car replay` does; return its events."""
+    for spectra, in_use in stream:
+        car.process(spectra, in_use)
+    return car.events

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import series
+from conftest import replay, series
 from dfam_car import bench as bench_mod
 from dfam_car import classifiers as clf
 from dfam_car import dfam, evaluate, pipeline
@@ -315,13 +315,13 @@ def test_hierarchy_invariant():
     )
     assert len(mixed) == 1000
     car = HierarchicalCar(s1, s3, reset_period=30)
-    car.run(mixed)
+    replay(car, mixed)
     oracle = _trace_oracle_s3_count(mixed, s1, s3, 30)
 
     still_car = HierarchicalCar(s1, s3, reset_period=30)
-    still_car.run([(sp, False) for sp in standing])
+    replay(still_car, [(sp, False) for sp in standing])
     flagged_car = HierarchicalCar(s1, s3, reset_period=30)
-    flagged_car.run([(sp, True) for sp in walking])
+    replay(flagged_car, [(sp, True) for sp in walking])
 
     ok = (
         car.s3_invocations == oracle

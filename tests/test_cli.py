@@ -233,6 +233,28 @@ def test_replay_context_flags(tmp_path):
     assert _read_context(context) == {0: True, 1: False, 2: True, 3: False, 4: True, 7: False}
 
 
+def test_replay_rejects_context_past_the_last_window(tmp_path, corpus, capsys):
+    s1, s3 = tmp_path / "s1.dfam", tmp_path / "s3.dfam"
+    train = ["train", "--corpus", str(corpus), "--model", "dfam", "--W", "64"]
+    assert main(train + ["--relabel", "moving", "--out", str(s1)]) == 0
+    assert main(train + ["--relabel", "distracted", "--out", str(s3)]) == 0
+    recording = next(p for p in sorted(corpus.iterdir()) if "walking+eating" in p.name)
+    n = len(prepare_bundles(read_recording(recording), 64))
+    context, out = tmp_path / "context.csv", tmp_path / "events.jsonl"
+    replay = ["replay", "--recording", str(recording), "--context", str(context),
+              "--s1-model", str(s1), "--s3-model", str(s3), "--out", str(out)]
+    context.write_text(f"window_index,smartphone_in_use\n0,1\n{n - 1},0\n", encoding="utf-8")
+    assert main(replay) == 0
+    out.unlink()
+    context.write_text(f"window_index,smartphone_in_use\n0,1\n{n},0\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(replay) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {context}: window_index {n} is past the last window;"
+                   f" the recording has {n} windows\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "row", ["x1,1", "0", "0,1,1", "1,2", "1,Y", "1,on", "1,", "-1,1", "0,1", "0,0"]
 )

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import spectrum_with_peak
+from conftest import replay, spectrum_with_peak
 from dfam_car.dfam import BinLayout, Signature, train_from_signatures
 from dfam_car.errors import ConfigError
 from dfam_car.hierarchy import (
@@ -75,7 +75,7 @@ def test_smartphone_flag_emits_event_in_s2():
 def test_distracted_flow_reaches_s3_and_emits():
     s1, s3 = make_models()
     car = HierarchicalCar(s1, s3, reset_period=30)
-    events = car.run([(spectra_at(DISTRACT), False)] * 12)
+    events = replay(car, [(spectra_at(DISTRACT), False)] * 12)
     # S1 at window 0, S2 at window 1, S3 from window 2 on
     assert car.trace == ["S1", "S2"] + ["S3"] * 10
     assert car.s3_invocations == 10
@@ -87,7 +87,7 @@ def test_distracted_flow_reaches_s3_and_emits():
 def test_s3_not_distracted_emits_nothing():
     s1, s3 = make_models()
     car = HierarchicalCar(s1, s3, reset_period=30)
-    car.run([(spectra_at(MOVE), False)] * 8)
+    replay(car, [(spectra_at(MOVE), False)] * 8)
     assert car.trace == ["S1", "S2"] + ["S3"] * 6
     assert car.events == []
 
@@ -95,7 +95,7 @@ def test_s3_not_distracted_emits_nothing():
 def test_periodic_reset_returns_to_s1():
     s1, s3 = make_models()
     car = HierarchicalCar(s1, s3, reset_period=5)
-    car.run([(spectra_at(DISTRACT), False)] * 11)
+    replay(car, [(spectra_at(DISTRACT), False)] * 11)
     # reset fires after every 5th window regardless of state
     assert car.trace == ["S1", "S2", "S3", "S3", "S3", "S1", "S2", "S3", "S3", "S3", "S1"]
 
@@ -103,10 +103,10 @@ def test_periodic_reset_returns_to_s1():
 def test_s3_never_runs_without_motion_or_with_flag():
     s1, s3 = make_models()
     still = HierarchicalCar(s1, s3, reset_period=7)
-    still.run([(spectra_at(STILL), False)] * 40)
+    replay(still, [(spectra_at(STILL), False)] * 40)
     assert still.s3_invocations == 0
     flagged = HierarchicalCar(s1, s3, reset_period=7)
-    flagged.run([(spectra_at(MOVE), True)] * 40)
+    replay(flagged, [(spectra_at(MOVE), True)] * 40)
     assert flagged.s3_invocations == 0
     assert all(e.event_type == EVENT_SMARTPHONE for e in flagged.events)
 
@@ -116,9 +116,9 @@ def test_trace_deterministic():
     stream = [(spectra_at(k), flag) for k, flag in
               [(STILL, False), (MOVE, False), (DISTRACT, False), (MOVE, True)] * 10]
     a = HierarchicalCar(s1, s3, reset_period=6)
-    a.run(stream)
+    replay(a, stream)
     b = HierarchicalCar(s1, s3, reset_period=6)
-    b.run(stream)
+    replay(b, stream)
     assert a.trace == b.trace
     assert a.events == b.events
 
@@ -157,14 +157,14 @@ def test_axis_subset_selection():
         16,
     )
     car = HierarchicalCar(s1_one, s3, reset_period=30, s1_axes=(0,))
-    car.run([(spectra_at(DISTRACT), False)] * 5)
+    replay(car, [(spectra_at(DISTRACT), False)] * 5)
     assert car.trace == ["S1", "S2", "S3", "S3", "S3"]
 
 
 def test_events_jsonl(tmp_path):
     s1, s3 = make_models()
     car = HierarchicalCar(s1, s3, reset_period=30)
-    car.run([(spectra_at(DISTRACT), False)] * 5)
+    replay(car, [(spectra_at(DISTRACT), False)] * 5)
     path = tmp_path / "events.jsonl"
     write_events_jsonl(car.events, path)
     lines = path.read_text(encoding="utf-8").splitlines()

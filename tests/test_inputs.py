@@ -4,14 +4,17 @@ the two model file formats (DFAM and MODEL).
 Every reader either returns or raises a CarError, whatever bytes it is given.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import series
+from dfam_car import signals
 from dfam_car.classifiers import predict
-from dfam_car.cli import _read_context
+from dfam_car.cli import _read_context, main
 from dfam_car.dfam import DfamModel, Signature, classify
 from dfam_car.errors import CarError, ParseError
 from dfam_car.features import FeatureVector
@@ -30,6 +33,9 @@ RECORDING_TOKENS = COMMON_TOKENS + (
     b"0", b"20", b"-1.5", b"1e308", b"1e999", b"nan", b"inf", b"1_0",
     b"phone", b"watch", b"acc", b"gyr", b"tablet",
     b"0,phone,acc,1,2,3\n", b"20,watch,gyr,0.5,-2,3\r\n",
+    # bytes that numpy's reader might read otherwise than the row loop
+    b"\x0c", b"\x1c", b"\xc2\x85", b"\xe2\x80\xa8", b"#", b"phone\x00", b"acc\x00",
+    b"1e-400", b"+.5", b"5.",
 )
 LABEL_TOKENS = COMMON_TOKENS + (
     b"r1", b"r2", b"..", b"/", b"\\", b"/abs/r1", b"p00", b"walking", b"walking+eating",
@@ -92,6 +98,63 @@ def test_fuzz_read_recording(scratch, data):
     path = scratch / "recording.csv"
     path.write_bytes(data)
     returns_or_raises_car_error(read_recording, path)
+
+
+def read_outcome(path):
+    """read_recording's channels and the bytes of their values, or the type
+    and message of the CarError it raised."""
+    try:
+        series = read_recording(path)
+    except CarError as exc:
+        return type(exc), str(exc)
+    return {ch.key: s.values.tobytes() for ch, s in series.items()}
+
+
+def row_loop_outcome(path):
+    """read_outcome with numpy's bulk reader switched off, so that every file
+    goes through the row loop."""
+    with mock.patch.object(signals, "_bulk_streams", lambda body: None):
+        return read_outcome(path)
+
+
+VALID_ROWS = b"0,phone,acc,1,2,3\n0,watch,gyr,4,5,6\n20,phone,acc,1e-400,+.5,5.\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=near_valid_bytes((RECORDING_HEADER,), RECORDING_TOKENS))
+@example(data=RECORDING_HEADER + VALID_ROWS)
+@example(data=RECORDING_HEADER + b"\n\n\n")
+@example(data=RECORDING_HEADER.replace(b"\n", b"\r\n") + VALID_ROWS.replace(b"\n", b"\r\n"))
+@example(data=RECORDING_HEADER + b"0,phone,acc,1,2,3\r20,phone,acc,1,2,3\n")
+# watch/gyr goes back from 20 to 0, but no two adjacent rows share a stream
+@example(data=RECORDING_HEADER + b"0,phone,acc,1,2,3\n20,watch,gyr,1,2,3\n"
+         b"20,phone,acc,1,2,3\n0,watch,gyr,1,2,3\n")
+@example(data=RECORDING_HEADER + b"0,phone\x00,acc,1,2,3\n")
+@example(data=RECORDING_HEADER + b"0,phone,acc,1,2,3#\n")
+@example(data=RECORDING_HEADER + b"0,phone,acc,1,nan,3\n")
+@example(data=RECORDING_HEADER + b"inf,phone,acc,1,2,3\n")
+@example(data=RECORDING_HEADER + b"0,phonewatch,acc,1,2,3\n")
+def test_bulk_reader_matches_row_loop(scratch, data):
+    path = scratch / "recording.csv"
+    path.write_bytes(data)
+    assert read_outcome(path) == row_loop_outcome(path)
+
+
+def test_generated_corpus_never_reaches_row_loop(tmp_path, monkeypatch):
+    assert main(["gen", "--out", str(tmp_path), "--participants", "2", "--duration", "10",
+                 "--seed", "3"]) == 0
+    calls = []
+    row_streams = signals._row_streams
+
+    def spy(text, path):
+        calls.append(path)
+        return row_streams(text, path)
+
+    monkeypatch.setattr(signals, "_row_streams", spy)
+    recordings = load_corpus(tmp_path)
+    assert calls == []
+    assert len(recordings) == 40
+    assert all(len(rec.series) == 12 for rec in recordings)
 
 
 @settings(max_examples=150, deadline=None)
