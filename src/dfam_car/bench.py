@@ -22,7 +22,7 @@ from .dfam import BinLayout
 from .errors import ConfigError
 from .evaluate import Instance
 from .pipeline import ModelSpec, prepare_bundles, trainer_for, window_payload
-from .signals import DEFAULT_CUTOFF_HZ, SENSORS, Window
+from .signals import DEFAULT_CUTOFF_HZ, Window
 from .synth import default_activity_set, make_corpus
 
 
@@ -34,7 +34,6 @@ def build_bench_windows(
     seed: int = 0,
     noise_std: float = 0.3,
     cutoff_hz: float | None = DEFAULT_CUTOFF_HZ,
-    sensors: Sequence[str] = SENSORS,
 ):
     """Labeled window bundles, interleaved across activities for balance."""
     if train_size < 1 or n_test < 1:
@@ -46,7 +45,7 @@ def build_bench_windows(
         1, activities, duration_s, sample_rate_hz, noise_std, seed
     )
     per_recording = [
-        (str(rec.label), prepare_bundles(rec.series, window_size, cutoff_hz, sensors))
+        (str(rec.label), prepare_bundles(rec.series, window_size, cutoff_hz))
         for rec in recordings
     ]
     labeled = []

@@ -143,6 +143,8 @@ def cmd_classify(args) -> int:
     window_size, fs, layout, channels = kind.windowing(model, args.W, args.fs)
     if args.W not in (None, window_size):
         raise ConfigError(f"--W {args.W} differs from the model's window size {window_size}")
+    if fs != args.fs:
+        raise ConfigError(f"--fs {args.fs} differs from the model's sample rate {fs}")
     if window_size is None:
         raise ConfigError("feature model file carries no window size; pass --W")
     if channels is not None:
@@ -254,6 +256,10 @@ def cmd_replay(args) -> int:
     s3_model = pipeline.load_any_model(args.s3_model)
     if not isinstance(s1_model, DfamModel) or not isinstance(s3_model, DfamModel):
         raise ConfigError("replay requires DFAM model files for S1 and S3")
+    if args.fs != s3_model.layout.sample_rate_hz:  # S1's is checked against S3's
+        raise ConfigError(
+            f"--fs {args.fs} differs from the models' sample rate {s3_model.layout.sample_rate_hz}"
+        )
     sensors = _validate_sensors(_comma_list(args.sensors))
     series = read_recording(args.recording, args.fs, sensors)
     bundles = pipeline.prepare_bundles(series, s3_model.window_size, args.cutoff, sensors)
@@ -275,14 +281,13 @@ def cmd_replay(args) -> int:
                 f" but replay feeds it {','.join(ch.key for ch in fed)}"
             )
     machine = HierarchicalCar(s1_model, s3_model, args.reset, s1_axes=s1_axes)
-    fs = s3_model.layout.sample_rate_hz
     for i, bundle in enumerate(bundles):
-        machine.process(pipeline.bundle_spectra(bundle, fs), flags.get(i, False))
+        machine.process(pipeline.bundle_spectra(bundle, args.fs), flags.get(i, False))
     write_events_jsonl(machine.events, args.out)
     print(
         f"replayed {len(bundles)} windows: {len(machine.events)} events, "
-        f"S1 invocations {machine.s1_invocations}, S3 invocations {machine.s3_invocations}, "
-        f"watch windows processed {machine.watch_windows_processed} -> {args.out}"
+        f"S1 invocations {machine.s1_invocations}, S3 invocations {machine.s3_invocations}"
+        f" -> {args.out}"
     )
     return 0
 
@@ -314,14 +319,18 @@ def cmd_bench(args) -> int:
 
 # -------------------------------------------------------------------- parser
 
-def _add_common(p, cutoff=True):
-    p.add_argument("--fs", type=float, default=50.0, help="sample rate in Hz")
-    p.add_argument("--seed", type=int, default=0)
-    if cutoff:
-        p.add_argument(
-            "--cutoff", type=float, default=DEFAULT_CUTOFF_HZ, help="low-pass cutoff in Hz"
-        )
-        p.add_argument("--sensors", default="acc,gyr", help="comma list from {acc,gyr}")
+_COMMON_OPTIONS = {
+    "fs": dict(type=float, default=50.0, help="sample rate in Hz"),
+    "seed": dict(type=int, default=0),
+    "cutoff": dict(type=float, default=DEFAULT_CUTOFF_HZ, help="low-pass cutoff in Hz"),
+    "sensors": dict(default="acc,gyr", help="comma list from {acc,gyr}"),
+}
+
+
+def _add_common(p, *names):
+    """The shared options a command reads, each --<name>."""
+    for name in names:
+        p.add_argument(f"--{name}", **_COMMON_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.0, help="gaussian noise std")
     p.add_argument("--jitter", type=float, default=synth.DEFAULT_PHASE_JITTER_STD)
     p.add_argument("--placements", default=",".join(synth.PLACEMENTS))
-    _add_common(p, cutoff=False)
+    _add_common(p, "fs", "seed")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train one model over a corpus")
@@ -356,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--allow-any-w", action="store_true")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, "fs", "seed", "cutoff", "sensors")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("classify", help="label a recording window by window")
@@ -364,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recording", required=True)
     p.add_argument("--W", type=int, default=None, help="window size; a DFAM model's must match")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, "fs", "cutoff", "sensors")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("evaluate", help="run a protocol over a (model, W, g) grid")
@@ -378,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-any-w", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--json", default=None, help="also write full reports as JSON")
-    _add_common(p)
+    _add_common(p, "fs", "seed", "cutoff", "sensors")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("replay", help="run the hierarchical recognizer over a recording")
@@ -389,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reset", type=int, default=DEFAULT_RESET_PERIOD)
     p.add_argument("--s1-channels", choices=("all", "phone"), default="all")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, "fs", "cutoff", "sensors")
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("bench", help="measure per-window classification latency")
@@ -402,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.3)
     p.add_argument("--allow-any-w", action="store_true")
     p.add_argument("--out", default=None)
-    _add_common(p)
+    _add_common(p, "fs", "seed", "cutoff")
     p.set_defaults(func=cmd_bench)
 
     return ap

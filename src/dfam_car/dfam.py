@@ -115,24 +115,15 @@ class BinLayout:
 
 @dataclass(frozen=True)
 class Signature:
-    """Per-axis tuples of dominant DFT bin indices, one index per band."""
+    """Per-axis tuples of dominant DFT bin indices, one index per band.
+
+    The indices are Python ints, as every caller passes them.
+    """
 
     axes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "axes", tuple(tuple(map(int, axis)) for axis in self.axes))
-        self._check_shape()
-
-    @classmethod
-    def of_ints(cls, axes: tuple[tuple[int, ...], ...]) -> "Signature":
-        """A Signature of axis tuples that already hold Python ints: the
-        shape checks without the int() pass over every bin index."""
-        sig = object.__new__(cls)
-        object.__setattr__(sig, "axes", axes)
-        sig._check_shape()
-        return sig
-
-    def _check_shape(self) -> None:
+        object.__setattr__(self, "axes", tuple(map(tuple, self.axes)))
         if not self.axes:
             raise ConfigError("signature needs at least one axis")
         g = len(self.axes[0])
@@ -166,7 +157,7 @@ def extract_signature(spectra: Sequence[Spectrum], layout: BinLayout) -> Signatu
     mags = np.array([sp.bin_magnitudes for sp in spectra])  # (axes, bins)
     # argmax returns the first maximum, so ties go to the lowest bin
     peaks = [(mags[:, lo : hi + 1].argmax(axis=1) + lo).tolist() for lo, hi in ranges]
-    return Signature.of_ints(tuple(zip(*peaks)))
+    return Signature(tuple(zip(*peaks)))
 
 
 def match_score(test: Signature, train: Signature) -> float:
@@ -184,9 +175,8 @@ class DfamModel:
     """Immutable trained store of (label, signature) instances.
 
     Axis tuples are interned to small integer codes at construction so that
-    classification reduces to integer comparisons; the model is safe to use
-    from many threads at once. channels, when known, names the signal
-    channel behind each signature axis, in canonical order.
+    classification reduces to integer comparisons. channels, when known,
+    names the signal channel behind each signature axis, in canonical order.
     """
 
     kind: ClassVar[str] = "dfam"  # row of classifiers.MODEL_KINDS, as FeatureModel.kind
@@ -213,19 +203,16 @@ class DfamModel:
                 )
             object.__setattr__(self, "channels", channels)
         labels = tuple(sorted({lbl for lbl, _ in self.instances}))
-        counts = {lbl: 0 for lbl in labels}
-        for lbl, _ in self.instances:
-            counts[lbl] += 1
-        intern: dict[tuple[int, ...], int] = {}
-        codes = np.empty((s, len(self.instances)), dtype=np.int32)  # axis-major
-        label_idx = np.empty(len(self.instances), dtype=np.int32)
         label_pos = {lbl: i for i, lbl in enumerate(labels)}
-        for i, (lbl, sig) in enumerate(self.instances):
-            label_idx[i] = label_pos[lbl]
-            for k, axis in enumerate(sig.axes):
-                codes[k, i] = intern.setdefault(axis, len(intern))
+        label_idx = np.array([label_pos[lbl] for lbl, _ in self.instances], dtype=np.int32)
+        counts = np.bincount(label_idx, minlength=len(labels)).tolist()
+        # axis tuples -> codes in first-seen order, walking instances then axes
+        flat = [axis for _, sig in self.instances for axis in sig.axes]
+        intern = {axis: code for code, axis in enumerate(dict.fromkeys(flat))}
+        codes = np.fromiter(map(intern.__getitem__, flat), dtype=np.int32, count=len(flat))
+        codes = np.ascontiguousarray(codes.reshape(len(self.instances), s).T)  # axis-major
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "class_counts", counts)
+        object.__setattr__(self, "class_counts", dict(zip(labels, counts)))
         object.__setattr__(self, "_intern", intern)
         object.__setattr__(self, "_codes", codes)
         object.__setattr__(self, "_label_idx", label_idx)

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import AlignmentError, DataQualityError
 from .signals import AXES, SENSORS, Channel, Window
@@ -35,18 +34,6 @@ class FeatureVector:
             )
 
 
-
-def fft_energy(values: np.ndarray) -> float:
-    """Mean squared magnitude over the full spectrum, folded from the
-    one-sided bins; by Parseval this equals sum(x**2)."""
-    mags2 = np.abs(np.fft.rfft(values)) ** 2
-    w = len(values)
-    total = mags2[0] + 2.0 * np.sum(mags2[1 : (w + 1) // 2])
-    if w % 2 == 0:
-        total += mags2[-1]
-    return float(total / w)
-
-
 def spectral_entropy(values: np.ndarray) -> float:
     """Shannon entropy of the magnitude-normalized one-sided spectrum,
     scaled to [0, 1]: 0 for a single line, 1 for a flat spectrum."""
@@ -58,22 +45,6 @@ def spectral_entropy(values: np.ndarray) -> float:
     p = p[p > 0.0]
     h = float(-(p * np.log(p)).sum())
     return h / float(np.log(len(mags)))
-
-
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    # zero-variance axes correlate as 0 by convention
-    sa, sb = np.std(a), np.std(b)
-    if sa == 0.0 or sb == 0.0:
-        return 0.0
-    return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
-
-
-def instantaneous_speed(magnitude: np.ndarray, sample_rate_hz: float) -> np.ndarray:
-    """Trapezoidal integral of the mean-subtracted magnitude signal,
-    zero initial velocity per window."""
-    return cumulative_trapezoid(
-        magnitude - magnitude.mean(), dx=1.0 / sample_rate_hz, initial=0.0
-    )
 
 
 _PAIR_A, _PAIR_B = [0, 1, 0], [1, 2, 2]  # corr_xy, corr_yz, corr_xz
@@ -114,9 +85,10 @@ def extract_features(
     mean/median/max of the roll velocity (their x channel).
 
     Each feature is computed for all axes (or all sensors) at once over the
-    stacked (axes, W) array, bitwise equal to the helpers above applied to
-    one axis or one sensor at a time. A non-finite feature, which finite
-    samples near 1e200 overflow to, raises DataQualityError.
+    stacked (axes, W) array, bitwise equal to the per-axis and per-sensor
+    formulas computed one at a time (tests/test_features.py holds them as
+    oracles). A non-finite feature, which finite samples near 1e200 overflow
+    to, raises DataQualityError.
     """
     if not bundle:
         raise AlignmentError("empty window bundle")
@@ -151,8 +123,9 @@ def extract_features(
     sa, sb = std.reshape(-1, 3)[:, _PAIR_A], std.reshape(-1, 3)[:, _PAIR_B]
     # zero-variance axes correlate as 0 by convention
     corr = np.divide(cov, sa * sb, out=np.zeros_like(cov), where=(sa != 0.0) & (sb != 0.0))
-    # instantaneous_speed's trapezoid sum, without cumulative_trapezoid's
-    # array-API dispatch; a gyroscope's motion is its roll velocity instead
+    # instantaneous speed: the trapezoidal integral of the mean-subtracted
+    # magnitude from zero velocity, as scipy's cumulative_trapezoid sums it;
+    # a gyroscope's motion is its roll velocity instead
     m = mag - mag.mean(axis=1, keepdims=True)
     speed = np.zeros_like(m)
     speed[:, 1:] = np.cumsum(1.0 / sample_rate_hz * (m[:, 1:] + m[:, :-1]) / 2.0, axis=1)

@@ -7,8 +7,9 @@ distraction is reported straight away and the flow returns to S1; otherwise
 S3 runs a binary distracted/not-distracted model on every window until the
 periodic reset pulls the machine back to S1. Classification happens only in
 the state that owns it, so the S3 (watch-heavy) model runs on a fraction of
-the stream; the number of S3 invocations doubles as the energy proxy for
-how often the watch channels had to be processed.
+the stream. The machine is fed every window's spectra, the watch channels'
+included, whatever its state: S3 invocations count the windows the S3 model
+classified, not the watch windows processed.
 """
 
 from __future__ import annotations
@@ -75,16 +76,16 @@ def _require_binary(model: DfamModel | None, expected: set[str], state: str) -> 
         )
 
 
-def _classify(spectra: Sequence[Spectrum], axes: tuple[int, ...] | None, model: DfamModel):
-    pick = spectra if axes is None else [spectra[i] for i in axes]
-    return classify(extract_signature(pick, model.layout), model)
+def _classify(spectra: Sequence[Spectrum], model: DfamModel):
+    return classify(extract_signature(spectra, model.layout), model)
 
 
 class HierarchicalCar:
     """The state machine over one stream, with its counters and event log.
 
-    Both models are checked once, here. One instance per stream; not shared
-    across threads.
+    Both models are checked once, here: their labels, and that they window
+    recordings alike. s1_axes, if given, picks the spectra S1 reads; S3 reads
+    them all. One instance per stream.
     """
 
     def __init__(
@@ -93,25 +94,25 @@ class HierarchicalCar:
         s3_model: DfamModel,
         reset_period: int = DEFAULT_RESET_PERIOD,
         s1_axes: Sequence[int] | None = None,
-        s3_axes: Sequence[int] | None = None,
     ):
         _require_binary(s1_model, {MOVING_LABEL, NOT_MOVING_LABEL}, S1)
         _require_binary(s3_model, {DISTRACTED_LABEL, NOT_DISTRACTED_LABEL}, S3)
+        w1, fs1 = s1_model.window_size, s1_model.layout.sample_rate_hz
+        w3, fs3 = s3_model.window_size, s3_model.layout.sample_rate_hz
+        if (w1, fs1) != (w3, fs3):
+            raise ConfigError(
+                f"the S1 model reads W={w1} at {fs1} Hz but the S3 model W={w3} at {fs3} Hz;"
+                " both must window the stream alike"
+            )
         self.s1_model = s1_model
         self.s3_model = s3_model
         self.s1_axes = tuple(s1_axes) if s1_axes is not None else None
-        self.s3_axes = tuple(s3_axes) if s3_axes is not None else None
         self.state = HierarchicalState(S1, 0, reset_period)
         self.s1_invocations = 0
         self.s3_invocations = 0
         self.events: list[DistractionEvent] = []
         self.trace: list[str] = []
         self._window_index = 0
-
-    @property
-    def watch_windows_processed(self) -> int:
-        # the watch sleeps outside S3, so its channels are touched once per S3 step
-        return self.s3_invocations
 
     def process(
         self, spectra: Sequence[Spectrum], smartphone_in_use: bool = False
@@ -126,7 +127,9 @@ class HierarchicalCar:
         event = None
         if state.state == S1:
             self.s1_invocations += 1
-            moving = _classify(spectra, self.s1_axes, self.s1_model).label == MOVING_LABEL
+            if self.s1_axes is not None:
+                spectra = [spectra[k] for k in self.s1_axes]
+            moving = _classify(spectra, self.s1_model).label == MOVING_LABEL
             next_state = S2 if moving else S1
         elif state.state == S2:
             if smartphone_in_use:
@@ -136,7 +139,7 @@ class HierarchicalCar:
                 next_state = S3
         else:
             self.s3_invocations += 1
-            label, scores, _ = _classify(spectra, self.s3_axes, self.s3_model)
+            label, scores, _ = _classify(spectra, self.s3_model)
             if label == DISTRACTED_LABEL:
                 event = DistractionEvent(i, S3, EVENT_MOTION, label, scores[label])
             next_state = S3

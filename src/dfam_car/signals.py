@@ -1,7 +1,7 @@
 """Raw motion time series: ingestion, filtering, segmentation and spectra.
 
 All operations are pure functions over immutable values; arrays are stored
-read-only so instances can be shared freely across threads.
+read-only, so a value is never changed by whoever else holds it.
 """
 
 from __future__ import annotations
@@ -97,8 +97,6 @@ class _Block:
     def magnitudes(self) -> np.ndarray:
         mags = self._magnitudes
         if mags is None:
-            # Two threads may both get here and compute this block; their
-            # results are identical and read-only, so whichever is kept is right.
             mags = np.abs(np.fft.rfft(self.values, axis=-1))
             mags.setflags(write=False)
             self._magnitudes = mags

@@ -104,7 +104,7 @@ def digests(artifacts: dict[str, Path]) -> dict[str, str]:
     }
 
 
-def main_rewrite() -> int:
+def rewrite() -> int:
     with tempfile.TemporaryDirectory() as work:
         record = {"versions": versions(), "artifacts": digests(write_artifacts(Path(work)))}
     DIGESTS.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -113,4 +113,4 @@ def main_rewrite() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main_rewrite())
+    sys.exit(rewrite())

@@ -255,6 +255,50 @@ def test_replay_rejects_context_past_the_last_window(tmp_path, corpus, capsys):
     assert not out.exists()
 
 
+def test_replay_rejects_models_that_window_apart(tmp_path, corpus, capsys):
+    s1, s3 = tmp_path / "s1.dfam", tmp_path / "s3.dfam"
+    train = ["train", "--corpus", str(corpus), "--model", "dfam"]
+    assert main(train + ["--W", "64", "--relabel", "moving", "--out", str(s1)]) == 0
+    assert main(train + ["--W", "128", "--relabel", "distracted", "--out", str(s3)]) == 0
+    recording = next(p for p in sorted(corpus.iterdir()) if "walking+eating" in p.name)
+    out = tmp_path / "events.jsonl"
+    capsys.readouterr()
+    assert main(["replay", "--recording", str(recording), "--s1-model", str(s1),
+                 "--s3-model", str(s3), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the S1 model reads W=64 at 50.0 Hz but the S3 model W=128 at 50.0 Hz;"
+        " both must window the stream alike\n"
+    )
+    assert not out.exists()
+
+
+def test_classify_and_replay_reject_another_sample_rate(tmp_path, corpus, capsys):
+    s1, s3 = tmp_path / "s1.dfam", tmp_path / "s3.dfam"
+    train = ["train", "--corpus", str(corpus), "--model", "dfam", "--W", "64"]
+    assert main(train + ["--relabel", "moving", "--out", str(s1)]) == 0
+    assert main(train + ["--relabel", "distracted", "--out", str(s3)]) == 0
+    recording = next(p for p in sorted(corpus.iterdir()) if "walking+eating" in p.name)
+    labels, events = tmp_path / "labels.csv", tmp_path / "events.jsonl"
+    classify = ["classify", "--model-file", str(s3), "--recording", str(recording),
+                "--out", str(labels)]
+    replay = ["replay", "--recording", str(recording), "--s1-model", str(s1),
+              "--s3-model", str(s3), "--out", str(events)]
+    assert main(classify + ["--fs", "50"]) == 0
+    assert main(replay + ["--fs", "50"]) == 0
+    labels.unlink()
+    events.unlink()
+    capsys.readouterr()
+    assert main(classify + ["--fs", "40"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --fs 40.0 differs from the model's sample rate 50.0\n"
+    )
+    assert main(replay + ["--fs", "40"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --fs 40.0 differs from the models' sample rate 50.0\n"
+    )
+    assert not labels.exists() and not events.exists()
+
+
 @pytest.mark.parametrize(
     "row", ["x1,1", "0", "0,1,1", "1,2", "1,Y", "1,on", "1,", "-1,1", "0,1", "0,0"]
 )
@@ -469,3 +513,11 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["train", "--corpus", "x"])  # missing --out
     assert e.value.code == 2
+    # each command declares only the options it reads
+    for argv in (["classify", "--model-file", "m", "--recording", "r", "--out", "o", "--seed", "1"],
+                 ["replay", "--recording", "r", "--s1-model", "a", "--s3-model", "b",
+                  "--out", "o", "--seed", "1"],
+                 ["bench", "--sensors", "acc"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2

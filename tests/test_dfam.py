@@ -116,12 +116,11 @@ def test_extraction_matches_bruteforce_oracle():
         assert got == expected
 
 
-def test_signature_of_ints_keeps_shape_checks():
-    assert Signature.of_ints(((1, 2), (3, 4))) == Signature(((1, 2), (3, 4)))
-    assert Signature.of_ints(((5,),)).g == 1
+def test_signature_keeps_shape_checks():
+    assert Signature(((1, 2), (3, 4))).axes == ((1, 2), (3, 4))
+    assert Signature([[1, 2], [3, 4]]) == Signature(((1, 2), (3, 4)))  # stored as tuples
+    assert Signature(((5,),)).g == 1
     for axes in ((), ((1, 2), (3,)), ((), ())):
-        with pytest.raises(ConfigError):
-            Signature.of_ints(axes)
         with pytest.raises(ConfigError):
             Signature(axes)
 
@@ -403,3 +402,37 @@ def test_classify_matches_summed_match_score(s, g, n_labels, n_train, seed):
                                    minlength=len(model.labels))
         assert [result.scores[k] for k in model.labels] == per_instance.tolist()
         assert result.label == model.labels[int(np.argmax(per_instance))]
+
+
+def setdefault_interning(instances):
+    """Axis tuples -> codes by first sight, walking instances then axes, and
+    the (axes, instances) code array: the loop DfamModel used to run."""
+    intern = {}
+    codes = np.empty((instances[0][1].s, len(instances)), dtype=np.int32)
+    for i, (_, sig) in enumerate(instances):
+        for k, axis in enumerate(sig.axes):
+            codes[k, i] = intern.setdefault(axis, len(intern))
+    return intern, codes
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    s=st.integers(1, 12),
+    g=st.integers(1, 3),
+    n_train=st.integers(1, 40),
+    values=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_interning_matches_setdefault_loop(s, g, n_train, values, seed):
+    # few bin values make an axis tuple recur across instances and axes
+    rng = np.random.default_rng(seed)
+    pairs = [
+        ("ab"[i % 2], Signature(tuple(map(tuple, rng.integers(0, values, size=(s, g)).tolist()))))
+        for i in range(n_train)
+    ]
+    model = train_from_signatures(pairs, BinLayout.equal_width(g, FS), 64, seed=seed % 7)
+    intern, codes = setdefault_interning(model.instances)
+    assert list(model._intern.items()) == list(intern.items())
+    assert model._codes.dtype == codes.dtype and model._codes.flags.c_contiguous
+    assert np.array_equal(model._codes, codes)
+    assert model._label_idx.tolist() == [model.labels.index(lbl) for lbl, _ in model.instances]

@@ -4,20 +4,44 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid
 
 from dfam_car.classifiers import FeatureDataset
 from dfam_car.errors import AlignmentError, DataQualityError, TrainingError
-from dfam_car.features import (
-    AXIS_FEATURES,
-    _pearson,
-    extract_features,
-    fft_energy,
-    instantaneous_speed,
-    spectral_entropy,
-)
+from dfam_car.features import AXIS_FEATURES, extract_features, spectral_entropy
 from dfam_car.signals import AXES, Channel, Window, all_channels
 
 FS = 50.0
+
+
+# ----------------------------- scalar oracles of the batched extract_features
+
+
+def fft_energy(values: np.ndarray) -> float:
+    """Mean squared magnitude over the full spectrum, folded from the
+    one-sided bins; by Parseval this equals sum(x**2)."""
+    mags2 = np.abs(np.fft.rfft(values)) ** 2
+    w = len(values)
+    total = mags2[0] + 2.0 * np.sum(mags2[1 : (w + 1) // 2])
+    if w % 2 == 0:
+        total += mags2[-1]
+    return float(total / w)
+
+
+def pearson(a: np.ndarray, b: np.ndarray) -> float:
+    # zero-variance axes correlate as 0 by convention
+    sa, sb = np.std(a), np.std(b)
+    if sa == 0.0 or sb == 0.0:
+        return 0.0
+    return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+
+
+def instantaneous_speed(magnitude: np.ndarray, sample_rate_hz: float) -> np.ndarray:
+    """Trapezoidal integral of the mean-subtracted magnitude signal,
+    zero initial velocity per window."""
+    return cumulative_trapezoid(
+        magnitude - magnitude.mean(), dx=1.0 / sample_rate_hz, initial=0.0
+    )
 
 
 def bundle_from(arrays_by_channel, index=0):
@@ -87,11 +111,12 @@ def test_variance_matches_two_pass_oracle():
 
 def test_fft_energy_parseval():
     rng = np.random.default_rng(13)
-    for w in (64, 250):  # even and non-power-of-two lengths
+    # even, non-power-of-two and odd lengths; an odd one folds without a Nyquist bin
+    for w in (64, 250, 63):
         x = rng.normal(size=w)
         assert fft_energy(x) == pytest.approx(np.sum(x**2), rel=1e-9)
-    x = rng.normal(size=63)  # odd length folds without a Nyquist bin
-    assert fft_energy(x) == pytest.approx(np.sum(x**2), rel=1e-9)
+        vec = extract_features(phone_acc_bundle(x), FS)
+        assert feat(vec, "fft_energy", "phone_acc_x") == pytest.approx(np.sum(x**2), rel=1e-9)
 
 
 def test_spectral_entropy_bounds():
@@ -137,6 +162,9 @@ def test_speed_and_roll_features():
     mag = np.sqrt(3 * np.ones(64))  # constant magnitude -> zero speed after detrend
     speed = instantaneous_speed(mag, FS)
     assert np.allclose(speed, 0.0, atol=1e-12)
+    vec = extract_features(phone_acc_bundle(np.ones(64)), FS)
+    for name in ("speed_mean", "speed_median", "speed_max"):
+        assert feat(vec, name, "phone_acc") == pytest.approx(0.0, abs=1e-12)
 
 
 def test_schema_full_configuration():
@@ -208,7 +236,7 @@ def per_axis_reference(arrays_by_channel, fs):
         key = f"{channels[i].device}_{channels[i].sensor}"
         mag = np.sqrt(x**2 + y**2 + z**2)
         names += [(f, key) for f in ("rms_mag", "corr_xy", "corr_yz", "corr_xz")]
-        values += [np.sqrt(np.mean(mag**2)), _pearson(x, y), _pearson(y, z), _pearson(x, z)]
+        values += [np.sqrt(np.mean(mag**2)), pearson(x, y), pearson(y, z), pearson(x, z)]
         if channels[i].sensor == "acc":
             names += [(f, key) for f in ("speed_mean", "speed_median", "speed_max")]
             motion = instantaneous_speed(mag, fs)

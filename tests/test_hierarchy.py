@@ -81,7 +81,6 @@ def test_distracted_flow_reaches_s3_and_emits():
     assert car.s3_invocations == 10
     assert len(events) == 10
     assert all(e.event_type == EVENT_MOTION and e.label == DISTRACTED_LABEL for e in events)
-    assert car.watch_windows_processed == 10
 
 
 def test_s3_not_distracted_emits_nothing():
@@ -138,6 +137,21 @@ def test_binary_model_validation():
         HierarchicalCar(three, s3)
     with pytest.raises(ConfigError):
         HierarchicalCar(None, s3)
+
+
+def test_models_must_window_the_stream_alike():
+    s1, s3 = make_models()
+    pairs = [(NOT_DISTRACTED_LABEL, sig_at(MOVE)), (DISTRACTED_LABEL, sig_at(DISTRACT))]
+    wider = train_from_signatures(pairs, LAYOUT, 32)
+    faster = train_from_signatures(pairs, BinLayout.equal_width(1, 2 * FS), 16)
+    with pytest.raises(ConfigError) as e:
+        HierarchicalCar(s1, wider)
+    assert str(e.value) == (
+        "the S1 model reads W=16 at 50.0 Hz but the S3 model W=32 at 50.0 Hz;"
+        " both must window the stream alike"
+    )
+    with pytest.raises(ConfigError, match="S3 model W=16 at 100.0 Hz"):
+        HierarchicalCar(s1, faster)
 
 
 def test_state_validation():
