@@ -8,8 +8,8 @@ S3 runs a binary distracted/not-distracted model on every window until the
 periodic reset pulls the machine back to S1. Classification happens only in
 the state that owns it, so the S3 (watch-heavy) model runs on a fraction of
 the stream. The machine is fed every window's spectra, the watch channels'
-included, whatever its state: S3 invocations count the windows the S3 model
-classified, not the watch windows processed.
+included, whatever its state, so S3 invocations count the S3 model's
+classifications and are no measure of watch energy.
 """
 
 from __future__ import annotations
