@@ -67,7 +67,8 @@ def _fresh_bundle(bundle):
 def _timed_classifier(spec: ModelSpec, train_set, layout, window_size, fs, seed):
     """Train outside the clock; return the per-window closure to time."""
     kind = spec.kind
-    train_fn, _ = trainer_for(spec, layout, window_size, seed)
+    channels = tuple(sorted(train_set[0][1]))  # every bundle windows the same channels
+    train_fn, _ = trainer_for(spec, layout, window_size, seed, channels)
     model = train_fn(
         [Instance(label, window_payload(kind, bundle, fs, layout)) for label, bundle in train_set]
     )
@@ -95,6 +96,10 @@ def run_benchmark(
     The headline number is the median of per-repetition medians; raw
     per-repetition medians are included for inspection.
     """
+    if repetitions < 1:
+        raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
+    if not 0.0 < sample_rate_hz < math.inf:
+        raise ConfigError(f"sample_rate_hz must be a positive finite number, got {sample_rate_hz}")
     train_set, test_set = build_bench_windows(
         train_size, n_test, window_size, sample_rate_hz, seed, noise_std, cutoff_hz
     )

@@ -138,16 +138,43 @@ def train_knn(dataset: FeatureDataset, k: int) -> FeatureModel:
 
 
 def _knn_predict(model: FeatureModel, x: np.ndarray) -> str:
+    """The k nearest rows by the full scan's exact distances, stable order
+    and vote rule, computing those distances only for the rows that a
+    matrix-vector screen cannot rule out.
+
+    The screen ranks row i by s_i = |x_i|^2 - 2 x_i.z, its squared distance
+    less |z|^2. In units of u = 2**-53 and R = (max|x_i| + |z|)^2, which
+    bounds every squared distance: s_i + |z|^2 is within (F+1)uR of row i's
+    real squared distance (F-term sums in any order, one subtraction); the
+    exact sum S_i is within (F+2)uR of it (difference, square, sum); and
+    sqrt rounds sums up to 4uR apart to one distance, which the stable sort
+    then orders by row. So any row the full scan ranks in its first k has
+    s_i <= s_(k) + 2(F+1)uR + 2(F+2)uR + 4uR, with s_(k) the k-th smallest
+    s_i. The slack is twice that, to cover the rounding of R and of the
+    limit, plus as many units of 2**-1074 for products that underflow. An
+    overflow makes the limit non-finite, and then every row is kept.
+    """
+    X, k = model.params["X"], model.params["k"]
     z = (x - model.params["mean"]) / model.params["std"]
-    d = np.sqrt(((model.params["X"] - z) ** 2).sum(axis=1))
-    order = np.argsort(d, kind="stable")[: model.params["k"]]
+    with np.errstate(all="ignore"):
+        if not hasattr(model, "_screen_norms"):  # once per model, and never in params
+            sq = (X * X).sum(axis=1)
+            object.__setattr__(model, "_screen_norms", (sq, np.sqrt(sq.max())))
+        sq, widest = model._screen_norms
+        screen = sq - 2.0 * (X @ z)
+        units = 2 * (2 * (X.shape[1] + 1) + 2 * (X.shape[1] + 2) + 4)
+        slack = units * ((widest + np.sqrt(z @ z)) ** 2 * 2.0**-53 + 2.0**-1074)
+        limit = np.partition(screen, k - 1)[k - 1] + slack
+    rows = np.flatnonzero(screen <= limit) if np.isfinite(limit) else np.arange(len(X))
+    d = np.sqrt(((X[rows] - z) ** 2).sum(axis=1))
+    order = np.argsort(d, kind="stable")[:k]
     votes: dict[str, int] = {}
     first_dist: dict[str, float] = {}
-    for idx in order:
-        lbl = model.params["row_labels"][idx]
+    for i in order:
+        lbl = model.params["row_labels"][rows[i]]
         votes[lbl] = votes.get(lbl, 0) + 1
         if lbl not in first_dist:
-            first_dist[lbl] = float(d[idx])
+            first_dist[lbl] = float(d[i])
     top = max(votes.values())
     tied = [lbl for lbl, v in votes.items() if v == top]
     # vote ties go to the label with the nearer first neighbour, then canonical order

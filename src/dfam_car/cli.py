@@ -135,6 +135,16 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _warn_unchecked_channels(named_models) -> None:
+    """One stderr line naming the DFAM v1 models among (path, model) pairs:
+    those files record no channels, so nothing checks the ones they are fed."""
+    v1 = [path for path, model in named_models
+          if isinstance(model, DfamModel) and model.channels is None]
+    if v1:
+        print(f"warning: {', '.join(v1)}: DFAM v1 model files record no channels;"
+              " the channels they are applied to are not checked", file=sys.stderr)
+
+
 def cmd_classify(args) -> int:
     model = pipeline.load_any_model(args.model_file)
     kind = classifiers.kind_of(model)
@@ -149,6 +159,7 @@ def cmd_classify(args) -> int:
         raise ConfigError("feature model file carries no window size; pass --W")
     if channels is not None:
         series = pipeline.model_series(series, channels)
+    _warn_unchecked_channels([(args.model_file, model)])
     bundles = pipeline.prepare_bundles(series, int(window_size), args.cutoff, sensors)
     rows = []
     for bundle in bundles:
@@ -165,7 +176,8 @@ def _evaluate_cell(recordings, protocol, spec_text, w, g, sensors, cutoff, fs, s
     spec = pipeline.ModelSpec.parse(spec_text)
     layout = BinLayout.equal_width(g, fs)
     instances = pipeline.instances_for(spec, recordings, w, layout, sensors, cutoff)
-    train_fn, predict_fn = pipeline.trainer_for(spec, layout, w, seed)
+    channels = pipeline.corpus_channels(recordings, sensors)
+    train_fn, predict_fn = pipeline.trainer_for(spec, layout, w, seed, channels)
     mean_participant = ""
     if protocol == "kfold":
         report = evaluate.kfold(instances, train_fn, predict_fn, k=k, seed=seed)
@@ -281,6 +293,7 @@ def cmd_replay(args) -> int:
                 f" but replay feeds it {','.join(ch.key for ch in fed)}"
             )
     machine = HierarchicalCar(s1_model, s3_model, args.reset, s1_axes=s1_axes)
+    _warn_unchecked_channels([(args.s1_model, s1_model), (args.s3_model, s3_model)])
     for i, bundle in enumerate(bundles):
         machine.process(pipeline.bundle_spectra(bundle, args.fs), flags.get(i, False))
     write_events_jsonl(machine.events, args.out)

@@ -28,3 +28,19 @@ def test_record_names_machine_and_pinned_versions(path):
     assert re.fullmatch(r"3\.\d+\.\d+", machine["python"])
     assert machine["numpy"] == pinned("numpy")
     assert machine["scipy"] == pinned("scipy")
+
+
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+CLAIMS = [path for path in RECORDS
+          if isinstance(json.loads(path.read_text(encoding="utf-8")).get("claim"), dict)]
+
+
+@pytest.mark.parametrize("path", CLAIMS, ids=lambda path: path.name)
+def test_claim_names_a_benchmark_metric_and_workload(path):
+    """A claim spelled "<metric> on <workload>" names an end-to-end metric and
+    a workload of BENCHMARK.json, so a renamed one cannot go unnoticed."""
+    claim = json.loads(path.read_text(encoding="utf-8"))["claim"]
+    metric, workload = re.fullmatch(r"(\S+) on (\S+)", claim["metric"]).groups()
+    assert metric in {m["name"] for m in BENCHMARK["end_to_end"]}
+    assert workload in {w["name"] for w in BENCHMARK["workloads"]}
+    assert claim["result"] in ("met", "not met")

@@ -126,6 +126,24 @@ def test_knn_vote_tie_goes_to_nearest():
     assert predict(model, vec([0.2])) == "A"
 
 
+def knn_oracle(Xs, row_labels, k, z):
+    """The full scan: every row's exact distance, a stable sort, votes, and
+    ties to the nearer first neighbour, then canonical order."""
+    d = np.sqrt(((Xs - z) ** 2).sum(axis=1))
+    order = np.argsort(d, kind="stable")[:k]
+    votes = {}
+    first = {}
+    for idx in order:
+        lbl = row_labels[idx]
+        votes[lbl] = votes.get(lbl, 0) + 1
+        first.setdefault(lbl, float(d[idx]))
+    top = max(votes.values())
+    return min(
+        (lbl for lbl, v in votes.items() if v == top),
+        key=lambda lbl: (first[lbl], lbl),
+    )
+
+
 def test_knn_matches_bruteforce_oracle():
     rng = np.random.default_rng(34)
     ds = blobs(rng, [[0, 0, 0], [2, 2, 0], [0, 4, 1]], per_class=25)
@@ -135,20 +153,72 @@ def test_knn_matches_bruteforce_oracle():
     Xs = (ds.X - mean) / std
     for x in rng.normal(1, 2, (50, 3)):
         z = (x - mean) / std
-        d = np.sqrt(((Xs - z) ** 2).sum(axis=1))
-        order = np.argsort(d, kind="stable")[:3]
-        votes = {}
-        first = {}
-        for idx in order:
-            lbl = ds.labels[idx]
-            votes[lbl] = votes.get(lbl, 0) + 1
-            first.setdefault(lbl, float(d[idx]))
-        top = max(votes.values())
-        expected = min(
-            (lbl for lbl, v in votes.items() if v == top),
-            key=lambda lbl: (first[lbl], lbl),
-        )
-        assert predict(model, vec(x)) == expected
+        assert predict(model, vec(x)) == knn_oracle(Xs, ds.labels, 3, z)
+
+
+@st.composite
+def knn_problems(draw):
+    """Training rows, their labels, k and queries, tie-heavy: integer levels
+    times one scale, duplicated rows, optional jitter far below the level
+    spacing, queries on or next to a training row, and a query whose
+    squared norm overflows."""
+    F = draw(st.integers(1, 4))
+    levels = draw(st.integers(0, 3))
+    level = st.integers(-levels, levels)
+    rows = draw(st.lists(st.lists(level, min_size=F, max_size=F), min_size=1, max_size=10))
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+    scale = 10.0 ** draw(st.integers(-6, 6)) * draw(st.sampled_from([1.0, 0.3, 1.7, 3.14159]))
+    X = np.array(rows, dtype=np.float64)
+    if draw(st.booleans()):
+        jitter = draw(st.lists(st.floats(-1, 1), min_size=X.size, max_size=X.size))
+        X = X + np.reshape(jitter, X.shape) * 10.0 ** draw(st.integers(-15, -6))
+    X *= scale
+    labels = draw(st.lists(st.sampled_from("ABC"), min_size=len(X), max_size=len(X)))
+    k = draw(st.integers(1, len(X)))
+    queries = []
+    for _ in range(draw(st.integers(1, 3))):
+        near = X[draw(st.integers(0, len(X) - 1))]
+        queries.append(draw(st.one_of(
+            st.just(near),
+            st.lists(st.floats(-1, 1), min_size=F, max_size=F).map(
+                lambda e: near + np.array(e) * abs(near).max() * 1e-9),
+            st.lists(level, min_size=F, max_size=F).map(lambda q: np.array(q) * scale),
+            st.just(np.full(F, 1e200)),
+        )))
+    return X, labels, k, queries
+
+
+@settings(max_examples=300, deadline=None)
+@given(knn_problems())
+# rows whose screened values round apart although the query sits nearer the
+# second: a screen without slack keeps the first alone
+@example(([[-6.758506016505907e-06], [-6.7585060165409885e-06]], ["A", "C"], 1,
+          [[-6.758506049042408e-06]]))
+# the query is row 2, but row 1's screened value rounds below row 2's: ranking
+# the kept rows by screened value puts row 1 first
+@example(([[116.16078347196735], [-580.8039173832399], [-580.8039173454949],
+           [-232.32156694918814]], ["C", "C", "A", "A"], 1, [[-580.8039173454949]]))
+def test_knn_predict_equals_full_scan(problem):
+    X, labels, k, queries = problem
+    X = np.asarray(X, dtype=np.float64)
+    F = X.shape[1]
+    model = classifiers.FeatureModel(
+        "knn", tuple(sorted(set(labels))), make_schema(F),
+        {"k": k, "mean": np.zeros(F), "std": np.ones(F), "X": X, "row_labels": list(labels)},
+    )
+    for q in queries:  # the first predict caches the row norms, later ones reuse them
+        z = np.asarray(q, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):  # the full scan overflows on 1e200
+            assert predict(model, vec(z)) == knn_oracle(X, labels, k, z)
+
+
+def test_predict_leaves_model_files_unchanged():
+    for model in _all_models(np.random.default_rng(47))[1]:
+        text = dumps_feature_model(model)
+        x = np.ones(3)
+        predict(model, vec(x))
+        predict(model, vec(-x))
+        assert dumps_feature_model(model) == text
 
 
 def test_knn_k_bounds():

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import rfft_spectrum
 from dfam_car import bench as bench_mod
-from dfam_car import pipeline
+from dfam_car import dfam, pipeline
 from dfam_car.cli import REPORT_COLUMNS, _read_context, main
 from dfam_car.dfam import classify, extract_signature, load_model
 from dfam_car.errors import ParseError
@@ -255,6 +255,41 @@ def test_replay_rejects_context_past_the_last_window(tmp_path, corpus, capsys):
     assert not out.exists()
 
 
+def test_classify_and_replay_warn_once_on_v1_models(tmp_path, corpus, capsys):
+    s1, s3 = tmp_path / "s1.dfam", tmp_path / "s3.dfam"
+    train = ["train", "--corpus", str(corpus), "--model", "dfam", "--W", "64"]
+    assert main(train + ["--relabel", "moving", "--out", str(s1)]) == 0
+    assert main(train + ["--relabel", "distracted", "--out", str(s3)]) == 0
+    v1 = {}
+    for path in (s1, s3):  # the same models without their channels
+        header, body = path.read_text(encoding="utf-8").split("\n", 1)
+        assert header.startswith("DFAM v2 ") and " channels=" in header
+        v1[path] = tmp_path / f"{path.stem}_v1.dfam"
+        v1[path].write_text("DFAM v1 " + header[8:].split(" channels=")[0] + "\n" + body,
+                            encoding="utf-8")
+        assert load_model(v1[path]).channels is None
+    recording = next(p for p in sorted(corpus.iterdir()) if "walking+eating" in p.name)
+
+    def run(command, s1_model, s3_model):
+        out = tmp_path / command
+        argv = ["classify", "--model-file", str(s3_model)] if command == "classify" else [
+            "replay", "--s1-model", str(s1_model), "--s3-model", str(s3_model)]
+        capsys.readouterr()
+        assert main(argv + ["--recording", str(recording), "--out", str(out)]) == 0
+        return out.read_bytes(), capsys.readouterr().err
+
+    warning = ("warning: {}: DFAM v1 model files record no channels;"
+               " the channels they are applied to are not checked\n")
+    for command in ("classify", "replay"):
+        checked, err = run(command, s1, s3)
+        assert err == ""
+        assert run(command, v1[s1], v1[s3]) == (
+            checked,
+            warning.format(v1[s3] if command == "classify" else f"{v1[s1]}, {v1[s3]}"),
+        )
+    assert run("replay", s1, v1[s3]) == (checked, warning.format(v1[s3]))
+
+
 def test_replay_rejects_models_that_window_apart(tmp_path, corpus, capsys):
     s1, s3 = tmp_path / "s1.dfam", tmp_path / "s3.dfam"
     train = ["train", "--corpus", str(corpus), "--model", "dfam"]
@@ -354,6 +389,46 @@ def test_bench_smoke(tmp_path):
     for entry in data.values():
         assert entry["windows"] == 4 and entry["repetitions"] == 2
         assert entry["min_ms"] <= entry["median_ms"] <= entry["p95_ms"]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--reps", "0", "repetitions must be >= 1, got 0"),
+    ("--fs", "0", "sample_rate_hz must be a positive finite number, got 0.0"),
+    ("--fs", "-5", "sample_rate_hz must be a positive finite number, got -5.0"),
+    ("--fs", "inf", "sample_rate_hz must be a positive finite number, got inf"),
+])
+def test_bench_rejects_degenerate_arguments(flag, value, message, monkeypatch, capsys):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("a corpus was built before the arguments were checked")
+
+    monkeypatch.setattr(bench_mod, "make_corpus", no_corpus)
+    capsys.readouterr()
+    assert main(["bench", "--models", "knn1", "--train-size", "5", "--windows", "2",
+                 flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_evaluate_and_bench_models_record_their_channels(tmp_path, corpus, monkeypatch):
+    built = []
+    train = dfam.train_from_signatures
+
+    def spy(*args, **kwargs):
+        built.append(train(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(dfam, "train_from_signatures", spy)
+    assert main(["evaluate", "--corpus", str(corpus), "--protocol", "kfold", "--k", "2",
+                 "--models", "dfam", "--W", "128", "--g", "1", "--sensors", "acc",
+                 "--out", str(tmp_path / "report.csv")]) == 0
+    acc = pipeline.corpus_channels(pipeline.load_corpus(corpus, 50.0, ("acc",)), ("acc",))
+    assert len(acc) == 6
+    assert len(built) == 2 and all(model.channels == acc for model in built)
+    built.clear()
+    bench_mod.run_benchmark([ModelSpec.parse("dfam")], train_size=12, n_test=2,
+                            window_size=64, repetitions=1)
+    every = tuple(sorted(bench_mod.build_bench_windows(12, 2, 64)[0][0][1]))
+    assert len(every) == 12
+    assert len(built) == 1 and built[0].channels == every
 
 
 def test_bench_times_every_dfam_window_with_its_own_transforms(monkeypatch):
