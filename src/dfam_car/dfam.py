@@ -123,11 +123,12 @@ class Signature:
     axes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "axes", tuple(map(tuple, self.axes)))
-        if not self.axes:
+        axes = tuple(map(tuple, self.axes))
+        object.__setattr__(self, "axes", axes)
+        if not axes:
             raise ConfigError("signature needs at least one axis")
-        g = len(self.axes[0])
-        if g < 1 or any(len(axis) != g for axis in self.axes):
+        g = len(axes[0])
+        if g < 1 or set(map(len, axes)) != {g}:
             raise ConfigError("all axis tuples must have the same positive length")
 
     @property
@@ -139,25 +140,44 @@ class Signature:
         return len(self.axes[0])
 
 
+@functools.lru_cache(maxsize=256)
+def _band_gather(layout: BinLayout, window_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (g, widest band) bin indices of each band, a narrower band's row
+    padded with its own first bin, and each band's first bin.
+
+    A padding position repeats the value at the row's first position, so the
+    first maximum of a row never lies in the padding. Cached per (layout,
+    window size), like band_index_ranges.
+    """
+    ranges = layout.band_index_ranges(window_size)
+    width = max(hi - lo for lo, hi in ranges) + 1
+    gather = np.array([[lo + j if lo + j <= hi else lo for j in range(width)] for lo, hi in ranges])
+    gather.setflags(write=False)
+    return gather, gather[:, 0]
+
+
 def extract_signature(spectra: Sequence[Spectrum], layout: BinLayout) -> Signature:
     """Per axis and band, the index of the maximal magnitude (ties go low)."""
     if not spectra:
         raise AlignmentError("no spectra given")
-    n_bins = spectra[0].n_bins
-    width = spectra[0].bin_width_hz
+    first = spectra[0]
+    n_bins, width = len(first.bin_magnitudes), first.bin_width_hz
+    rows = []
     for sp in spectra:
-        if sp.n_bins != n_bins or sp.bin_width_hz != width:
+        row = sp.bin_magnitudes
+        if len(row) != n_bins or sp.bin_width_hz != width:
             raise AlignmentError("spectra disagree on window size or sample rate")
-    if abs(spectra[0].sample_rate_hz - layout.sample_rate_hz) > 1e-9:
+        rows.append(row)
+    window_size = 2 * (n_bins - 1)
+    if abs(width * window_size - layout.sample_rate_hz) > 1e-9:
         raise ConfigError(
             f"layout sample rate {layout.sample_rate_hz} does not match spectra "
-            f"({spectra[0].sample_rate_hz})"
+            f"({first.sample_rate_hz})"
         )
-    ranges = layout.band_index_ranges(spectra[0].window_size)
-    mags = np.array([sp.bin_magnitudes for sp in spectra])  # (axes, bins)
-    # argmax returns the first maximum, so ties go to the lowest bin
-    peaks = [(mags[:, lo : hi + 1].argmax(axis=1) + lo).tolist() for lo, hi in ranges]
-    return Signature(tuple(zip(*peaks)))
+    gather, lo = _band_gather(layout, window_size)
+    # one (axes, g, widest band) gather; argmax returns the first maximum,
+    # so ties go to the lowest bin
+    return Signature((np.array(rows).take(gather, axis=1).argmax(axis=2) + lo).tolist())
 
 
 def match_score(test: Signature, train: Signature) -> float:
@@ -174,9 +194,11 @@ def match_score(test: Signature, train: Signature) -> float:
 class DfamModel:
     """Immutable trained store of (label, signature) instances.
 
-    Axis tuples are interned to small integer codes at construction so that
-    classification reduces to integer comparisons. channels, when known,
-    names the signal channel behind each signature axis, in canonical order.
+    Axis tuples are interned to small integer codes at construction, and
+    each axis's codes are indexed as postings, so that classification only
+    counts how often each instance appears in the postings of the test's
+    tuples. channels, when known, names the signal channel behind each
+    signature axis, in canonical order.
     """
 
     kind: ClassVar[str] = "dfam"  # row of classifiers.MODEL_KINDS, as FeatureModel.kind
@@ -204,17 +226,25 @@ class DfamModel:
             object.__setattr__(self, "channels", channels)
         labels = tuple(sorted({lbl for lbl, _ in self.instances}))
         label_pos = {lbl: i for i, lbl in enumerate(labels)}
-        label_idx = np.array([label_pos[lbl] for lbl, _ in self.instances], dtype=np.int32)
+        label_idx = np.array([label_pos[lbl] for lbl, _ in self.instances], dtype=np.intp)
         counts = np.bincount(label_idx, minlength=len(labels)).tolist()
         # axis tuples -> codes in first-seen order, walking instances then axes
         flat = [axis for _, sig in self.instances for axis in sig.axes]
         intern = {axis: code for code, axis in enumerate(dict.fromkeys(flat))}
-        codes = np.fromiter(map(intern.__getitem__, flat), dtype=np.int32, count=len(flat))
-        codes = np.ascontiguousarray(codes.reshape(len(self.instances), s).T)  # axis-major
+        codes = np.fromiter(map(intern.__getitem__, flat), dtype=np.intp, count=len(flat))
+        # postings in CSR form: key k * len(intern) + code lists, in ascending
+        # order, the instances holding that code on axis k, at
+        # _post_ids[_post_offsets[key] : _post_offsets[key + 1]]
+        n = len(self.instances)
+        keys = (codes.reshape(n, s) + np.arange(s) * len(intern)).T.ravel()  # axis-major
+        post_ids = np.argsort(keys, kind="stable") % n
+        post_offsets = np.zeros(s * len(intern) + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys, minlength=s * len(intern)), out=post_offsets[1:])
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "class_counts", dict(zip(labels, counts)))
         object.__setattr__(self, "_intern", intern)
-        object.__setattr__(self, "_codes", codes)
+        object.__setattr__(self, "_post_ids", post_ids)
+        object.__setattr__(self, "_post_offsets", post_offsets)
         object.__setattr__(self, "_label_idx", label_idx)
         # (c/s)**s for c = 0..s matched axes: the np.power classify used to
         # run per instance, on the same doubles, so scores are bitwise equal
@@ -242,10 +272,19 @@ def classify(test: Signature, model: DfamModel) -> ClassificationResult:
         raise AlignmentError(
             f"test signature is {test.s}x{test.g}, model expects {s}x{model.layout.g}"
         )
-    codes = np.array(
-        [model._intern.get(axis, -1) for axis in test.axes], dtype=np.int32
-    )
-    matched = (model._codes == codes[:, None]).sum(axis=0)
+    intern, ids = model._intern, model._post_ids
+    offsets = memoryview(model._post_offsets)  # indexes to Python ints
+    # each axis's posting of its test tuple, for the tuples the model holds;
+    # an instance appears once per matched axis
+    hits = []
+    base = 0
+    for axis in test.axes:
+        code = intern.get(axis)
+        if code is not None:
+            hits.append(ids[offsets[base + code] : offsets[base + code + 1]])
+        base += len(intern)
+    n = len(model._label_idx)
+    matched = np.bincount(np.concatenate(hits), minlength=n) if hits else np.zeros(n, np.intp)
     totals = np.bincount(
         model._label_idx, weights=model._score_table[matched], minlength=len(model.labels)
     ).tolist()

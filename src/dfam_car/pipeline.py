@@ -116,7 +116,7 @@ def bundle_spectra(
     bundle: Mapping[Channel, Window], sample_rate_hz: float
 ) -> list[Spectrum]:
     """Per-axis spectra in canonical channel order."""
-    return [spectrum(bundle[ch], sample_rate_hz) for ch in sorted(bundle)]
+    return [spectrum(window, sample_rate_hz) for _, window in sorted(bundle.items())]
 
 
 def window_payload(kind: classifiers.ModelKind, bundle, sample_rate_hz: float, layout):

