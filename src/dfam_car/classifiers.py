@@ -452,27 +452,15 @@ def predict(model: FeatureModel, vector: FeatureVector) -> str:
 
 # -------------------------------------------------------------- serialization
 
-def _to_jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, dict):
-        return {k: _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    return obj
-
-
 def dumps_feature_model(model: FeatureModel) -> str:
     body = {
         "labels": list(model.labels),
         "schema": [list(pair) for pair in model.schema],
-        "params": _to_jsonable(model.params),
+        "params": model.params,
     }
-    return f"MODEL v1 kind={model.kind}\n" + json.dumps(body, sort_keys=True) + "\n"
+    # numpy arrays and integers as lists and ints; a float64 already is a float
+    text = json.dumps(body, sort_keys=True, default=lambda obj: obj.tolist())
+    return f"MODEL v1 kind={model.kind}\n" + text + "\n"
 
 
 def loads_feature_model(text: str, path=None) -> FeatureModel:

@@ -12,7 +12,7 @@ from . import bench as bench_mod
 from . import classifiers, evaluate, pipeline, synth
 from .dfam import BinLayout, DfamModel
 from .errors import CarError, ConfigError, ParseError
-from .hierarchy import DEFAULT_RESET_PERIOD, HierarchicalCar, write_events_jsonl
+from .hierarchy import DEFAULT_RESET_PERIOD, write_events_jsonl
 from .signals import DEFAULT_CUTOFF_HZ, DEVICES, SENSORS, csv_rows, read_recording
 
 STANDARD_WINDOW_SIZES = (32, 64, 128, 256, 512)
@@ -59,22 +59,15 @@ def _validate_w(values, allow_any: bool) -> None:
             )
 
 
-def _validate_sensors(sensors) -> tuple[str, ...]:
-    if not sensors:
-        raise ConfigError("sensor set must not be empty")
-    for s in sensors:
-        if s not in SENSORS:
-            raise ConfigError(f"unknown sensor {s!r}, expected subset of {SENSORS}")
-    return tuple(s for s in SENSORS if s in sensors)
-
-
-def _validate_devices(devices) -> tuple[str, ...]:
-    if not devices:
-        raise ConfigError("device set must not be empty")
-    for d in devices:
-        if d not in DEVICES:
-            raise ConfigError(f"unknown device {d!r}, expected subset of {DEVICES}")
-    return tuple(d for d in DEVICES if d in devices)
+def _subset(text: str, known, what: str) -> tuple[str, ...]:
+    """A comma list naming a non-empty subset of known, in known's order."""
+    names = _comma_list(text)
+    if not names:
+        raise ConfigError(f"{what} set must not be empty")
+    for name in names:
+        if name not in known:
+            raise ConfigError(f"unknown {what} {name!r}, expected subset of {known}")
+    return tuple(name for name in known if name in names)
 
 
 def _max_workers() -> int:
@@ -112,8 +105,8 @@ def _filter_placement(recordings, placement_filter):
 
 def cmd_train(args) -> int:
     spec = pipeline.ModelSpec.parse(args.model)
-    sensors = _validate_sensors(_comma_list(args.sensors))
-    devices = _validate_devices(_comma_list(args.devices))
+    sensors = _subset(args.sensors, SENSORS, "sensor")
+    devices = _subset(args.devices, DEVICES, "device")
     _validate_w([args.W], args.allow_any_w)
     recordings = _filter_placement(
         pipeline.load_corpus(args.corpus, args.fs, sensors),
@@ -148,7 +141,7 @@ def _warn_unchecked_channels(named_models) -> None:
 def cmd_classify(args) -> int:
     model = pipeline.load_any_model(args.model_file)
     kind = classifiers.kind_of(model)
-    sensors = _validate_sensors(_comma_list(args.sensors))
+    sensors = _subset(args.sensors, SENSORS, "sensor")
     series = read_recording(args.recording, args.fs, sensors)
     window_size, fs, layout, channels = kind.windowing(model, args.W, args.fs)
     if args.W not in (None, window_size):
@@ -209,7 +202,7 @@ def _evaluate_cell(recordings, protocol, spec_text, w, g, sensors, cutoff, fs, s
 
 
 def cmd_evaluate(args) -> int:
-    sensors = _validate_sensors(_comma_list(args.sensors))
+    sensors = _subset(args.sensors, SENSORS, "sensor")
     ws = args.W
     gs = args.g
     _validate_w(ws, args.allow_any_w)
@@ -272,35 +265,24 @@ def cmd_replay(args) -> int:
         raise ConfigError(
             f"--fs {args.fs} differs from the models' sample rate {s3_model.layout.sample_rate_hz}"
         )
-    sensors = _validate_sensors(_comma_list(args.sensors))
+    sensors = _subset(args.sensors, SENSORS, "sensor")
     series = read_recording(args.recording, args.fs, sensors)
-    bundles = pipeline.prepare_bundles(series, s3_model.window_size, args.cutoff, sensors)
     flags = _read_context(args.context) if args.context else {}
-    if flags and max(flags) >= len(bundles):
+    phone = [i for i, ch in enumerate(sorted(series)) if ch.device == "phone"]
+    steps = list(pipeline.replay(series, s1_model, s3_model, args.reset, flags, args.cutoff,
+                                 sensors, phone if args.s1_channels == "phone" else None))
+    if flags and max(flags) >= len(steps):
         raise ConfigError(
             f"{args.context}: window_index {max(flags)} is past the last window;"
-            f" the recording has {len(bundles)} windows"
+            f" the recording has {len(steps)} windows"
         )
-    channels = sorted(bundles[0]) if bundles else []
-    s1_axes = None
-    if args.s1_channels == "phone":
-        s1_axes = [i for i, ch in enumerate(channels) if ch.device == "phone"]
-    s1_channels = channels if s1_axes is None else [channels[i] for i in s1_axes]
-    for state, model, fed in (("S1", s1_model, s1_channels), ("S3", s3_model, channels)):
-        if model.channels is not None and list(model.channels) != fed:
-            raise ConfigError(
-                f"the {state} model reads channels {','.join(ch.key for ch in model.channels)}"
-                f" but replay feeds it {','.join(ch.key for ch in fed)}"
-            )
-    machine = HierarchicalCar(s1_model, s3_model, args.reset, s1_axes=s1_axes)
     _warn_unchecked_channels([(args.s1_model, s1_model), (args.s3_model, s3_model)])
-    for i, bundle in enumerate(bundles):
-        machine.process(pipeline.bundle_spectra(bundle, args.fs), flags.get(i, False))
-    write_events_jsonl(machine.events, args.out)
+    events = [event for _, event in steps if event is not None]
+    write_events_jsonl(events, args.out)
+    states = [state for state, _ in steps]
     print(
-        f"replayed {len(bundles)} windows: {len(machine.events)} events, "
-        f"S1 invocations {machine.s1_invocations}, S3 invocations {machine.s3_invocations}"
-        f" -> {args.out}"
+        f"replayed {len(steps)} windows: {len(events)} events, "
+        f"S1 invocations {states.count('S1')}, S3 invocations {states.count('S3')} -> {args.out}"
     )
     return 0
 

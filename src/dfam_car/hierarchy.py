@@ -8,8 +8,8 @@ S3 runs a binary distracted/not-distracted model on every window until the
 periodic reset pulls the machine back to S1. Classification happens only in
 the state that owns it, so the S3 (watch-heavy) model runs on a fraction of
 the stream. The machine is fed every window's spectra, the watch channels'
-included, whatever its state, so S3 invocations count the S3 model's
-classifications and are no measure of watch energy.
+included, whatever its state, so the windows its trace holds in S3 count the
+S3 model's classifications and are no measure of watch energy.
 """
 
 from __future__ import annotations
@@ -81,7 +81,8 @@ def _classify(spectra: Sequence[Spectrum], model: DfamModel):
 
 
 class HierarchicalCar:
-    """The state machine over one stream, with its counters and event log.
+    """The state machine over one stream, with its trace (the state each
+    window was processed in) and event log.
 
     Both models are checked once, here: their labels, and that they window
     recordings alike. s1_axes, if given, picks the spectra S1 reads; S3 reads
@@ -108,11 +109,8 @@ class HierarchicalCar:
         self.s3_model = s3_model
         self.s1_axes = tuple(s1_axes) if s1_axes is not None else None
         self.state = HierarchicalState(S1, 0, reset_period)
-        self.s1_invocations = 0
-        self.s3_invocations = 0
         self.events: list[DistractionEvent] = []
         self.trace: list[str] = []
-        self._window_index = 0
 
     def process(
         self, spectra: Sequence[Spectrum], smartphone_in_use: bool = False
@@ -122,11 +120,10 @@ class HierarchicalCar:
         The reset counter ticks on every window; when it reaches the period the
         machine returns to S1 unconditionally, overriding the computed move.
         """
-        state, i = self.state, self._window_index
+        state, i = self.state, len(self.trace)
         self.trace.append(state.state)
         event = None
         if state.state == S1:
-            self.s1_invocations += 1
             if self.s1_axes is not None:
                 spectra = [spectra[k] for k in self.s1_axes]
             moving = _classify(spectra, self.s1_model).label == MOVING_LABEL
@@ -138,7 +135,6 @@ class HierarchicalCar:
             else:
                 next_state = S3
         else:
-            self.s3_invocations += 1
             label, scores, _ = _classify(spectra, self.s3_model)
             if label == DISTRACTED_LABEL:
                 event = DistractionEvent(i, S3, EVENT_MOTION, label, scores[label])
@@ -147,7 +143,6 @@ class HierarchicalCar:
         if ticks >= state.reset_period:
             next_state, ticks = S1, 0
         self.state = HierarchicalState(next_state, ticks, state.reset_period)
-        self._window_index += 1
         if event is not None:
             self.events.append(event)
         return event

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import classifiers, dfam
 from .dfam import ActivityLabel, BinLayout
@@ -16,6 +16,8 @@ from .hierarchy import (
     MOVING_LABEL,
     NOT_DISTRACTED_LABEL,
     NOT_MOVING_LABEL,
+    DistractionEvent,
+    HierarchicalCar,
 )
 from .signals import (
     DEFAULT_CUTOFF_HZ,
@@ -231,6 +233,35 @@ def relabel_distracted(instances: Sequence[Instance]) -> list[Instance]:
     windows whose locomotion is not a moving one."""
     return _relabel(instances, lambda a: None if not a.is_moving else (
         NOT_DISTRACTED_LABEL if a.distraction is None else DISTRACTED_LABEL))
+
+
+def replay(
+    series_by_channel: Mapping[Channel, TimeSeries], s1_model: dfam.DfamModel,
+    s3_model: dfam.DfamModel, reset_period: int, in_use: Mapping[int, bool],
+    cutoff_hz: float | None, sensors: Sequence[str], s1_axes: Sequence[int] | None,
+) -> Iterator[tuple[str, DistractionEvent | None]]:
+    """Drive one recording through the S1/S2/S3 machine, window by window.
+
+    The series are windowed as the S3 DFAM model reads them, at its sample
+    rate. Each model's recorded channels must be those it is fed: S3 all of
+    them, S1 those at positions s1_axes (None: all) in canonical order.
+    in_use maps a window index to its smartphone-in-use flag (absent: False).
+    Yields, per window, the state it was processed in and its event or None.
+    """
+    bundles = prepare_bundles(series_by_channel, s3_model.window_size, cutoff_hz, sensors)
+    channels = sorted(bundles[0])
+    s1_channels = channels if s1_axes is None else [channels[i] for i in s1_axes]
+    for state, model, fed in (("S1", s1_model, s1_channels), ("S3", s3_model, channels)):
+        if model.channels is not None and list(model.channels) != fed:
+            raise ConfigError(
+                f"the {state} model reads channels {','.join(ch.key for ch in model.channels)}"
+                f" but replay feeds it {','.join(ch.key for ch in fed)}"
+            )
+    machine = HierarchicalCar(s1_model, s3_model, reset_period, s1_axes)
+    for i, bundle in enumerate(bundles):
+        spectra = bundle_spectra(bundle, s3_model.layout.sample_rate_hz)
+        event = machine.process(spectra, in_use.get(i, False))
+        yield machine.trace[-1], event
 
 
 # --------------------------------------------------------- model file dispatch

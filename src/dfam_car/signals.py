@@ -389,6 +389,8 @@ def read_recording(
         for j, axis in enumerate(AXES):
             ch = Channel(device, sensor, axis)
             out[ch] = TimeSeries(ch, sample_rate_hz, arr[:, j])
+    if not out:
+        raise ParseError(f"no sample rows for the sensors {','.join(sensors)}", path=path)
     return out
 
 

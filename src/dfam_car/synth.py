@@ -59,6 +59,12 @@ class Component:
     amplitude: float
     phase_jitter_std: float = DEFAULT_PHASE_JITTER_STD
 
+    def __post_init__(self):
+        if not 0 <= self.phase_jitter_std < math.inf:
+            raise ConfigError(
+                f"phase_jitter_std must be a non-negative finite number, got {self.phase_jitter_std}"
+            )
+
 
 @dataclass(frozen=True, eq=False)
 class ActivityProfile:
@@ -71,8 +77,8 @@ class ActivityProfile:
     def __post_init__(self):
         if self.placement not in PLACEMENTS:
             raise ConfigError(f"unknown placement {self.placement!r}, expected {PLACEMENTS}")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be non-negative")
+        if not 0 <= self.noise_std < math.inf:
+            raise ConfigError(f"noise_std must be a non-negative finite number, got {self.noise_std}")
 
 
 def _stack(freqs, base_amp, phase_jitter_std):
@@ -123,8 +129,15 @@ def generate(
     jitter_block: int = DEFAULT_JITTER_BLOCK,
 ) -> dict[Channel, TimeSeries]:
     """Render one recording (all channels), deterministic given the seed."""
-    if duration_s <= 0:
-        raise ConfigError("duration_s must be positive")
+    if not 0 < duration_s < math.inf:
+        raise ConfigError(f"duration_s must be a positive finite number, got {duration_s}")
+    if not 0 < sample_rate_hz < math.inf:
+        raise ConfigError(f"sample_rate_hz must be a positive finite number, got {sample_rate_hz}")
+    samples = duration_s * sample_rate_hz
+    if not 0.5 < samples < math.inf:  # round(0.5) is 0
+        raise ConfigError(f"duration_s {duration_s} at {sample_rate_hz} Hz gives {samples:g}"
+                          " samples; at least one and finitely many are needed")
+    n = round(samples)
     nyquist = sample_rate_hz / 2.0
     for comps in profile.components.values():
         for c in comps:
@@ -132,7 +145,6 @@ def generate(
                 raise ConfigError(
                     f"component at {c.frequency_hz} Hz reaches the Nyquist limit {nyquist} Hz"
                 )
-    n = int(round(duration_s * sample_rate_hz))
     n_blocks = math.ceil(n / jitter_block)
     t = np.arange(n) / sample_rate_hz
     rng = np.random.default_rng(seed)
@@ -206,6 +218,8 @@ def make_corpus(
     participant and participants differ by a small amplitude scale."""
     if participants < 1:
         raise ConfigError("participants must be >= 1")
+    if not placements:
+        raise ConfigError("placements must not be empty")
     if activities is None:
         activities = default_activity_set()
     children = np.random.SeedSequence(seed).spawn(participants * len(activities))

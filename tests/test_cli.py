@@ -75,6 +75,56 @@ def test_gen_rejects_bad_placement(tmp_path, capsys):
     assert "placement" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--jitter", "-1", "phase_jitter_std must be a non-negative finite number, got -1.0"),
+    ("--jitter", "nan", "phase_jitter_std must be a non-negative finite number, got nan"),
+    ("--jitter", "inf", "phase_jitter_std must be a non-negative finite number, got inf"),
+    ("--noise", "nan", "noise_std must be a non-negative finite number, got nan"),
+    ("--noise", "inf", "noise_std must be a non-negative finite number, got inf"),
+    ("--duration", "nan", "duration_s must be a positive finite number, got nan"),
+    ("--duration", "inf", "duration_s must be a positive finite number, got inf"),
+    ("--duration", "0.001",
+     "duration_s 0.001 at 50.0 Hz gives 0.05 samples; at least one and finitely many are needed"),
+    ("--duration", "1e300",  # at --fs 1e10 the sample count overflows to inf
+     "duration_s 1e+300 at 10000000000.0 Hz gives inf samples;"
+     " at least one and finitely many are needed"),
+    ("--fs", "inf", "sample_rate_hz must be a positive finite number, got inf"),
+    ("--fs", "nan", "sample_rate_hz must be a positive finite number, got nan"),
+    ("--placements", ",", "placements must not be empty"),
+])
+def test_gen_rejects_bad_numbers_before_writing(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "corpus"
+    fs = ["--fs", "1e10"] if value == "1e300" else []
+    assert main(["gen", "--out", str(out), "--participants", "1", flag, value] + fs) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--sensors", "", "sensor set must not be empty"),
+    ("--sensors", "acc,mag", "unknown sensor 'mag', expected subset of ('acc', 'gyr')"),
+    ("--devices", " , ", "device set must not be empty"),
+    ("--devices", "phone,ring", "unknown device 'ring', expected subset of ('phone', 'watch')"),
+])
+def test_train_checks_sensor_and_device_lists(tmp_path, corpus, capsys, option, value, message):
+    out = tmp_path / "m.dfam"
+    assert main(["train", "--corpus", str(corpus), option, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_sensor_and_device_lists_take_canonical_order(tmp_path, corpus):
+    train = ["train", "--corpus", str(corpus), "--W", "64"]
+    assert main(train + ["--out", str(tmp_path / "a.dfam")]) == 0
+    assert main(train + ["--sensors", "gyr,acc", "--devices", "watch,phone",
+                         "--out", str(tmp_path / "b.dfam")]) == 0
+    assert (tmp_path / "a.dfam").read_bytes() == (tmp_path / "b.dfam").read_bytes()
+    report = tmp_path / "report.csv"
+    assert main(["evaluate", "--corpus", str(corpus), "--k", "2", "--sensors", "gyr,acc",
+                 "--out", str(report)]) == 0
+    assert [row["sensors"] for row in csv_dicts(report)] == ["acc+gyr"]
+
+
 def test_train_dfam_and_nb(tmp_path, corpus):
     dfam_path = tmp_path / "m.dfam"
     rc = main(
@@ -473,6 +523,44 @@ def test_malformed_recording_reports_line(tmp_path, capsys):
     )
     assert rc == 1
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def hierarchy_models(tmp_path_factory, corpus):
+    out = tmp_path_factory.mktemp("models")
+    train = ["train", "--corpus", str(corpus), "--model", "dfam", "--W", "64"]
+    assert main(train + ["--relabel", "moving", "--out", str(out / "s1.dfam")]) == 0
+    assert main(train + ["--relabel", "distracted", "--out", str(out / "s3.dfam")]) == 0
+    return out / "s1.dfam", out / "s3.dfam"
+
+
+@pytest.mark.parametrize("sensors", ["acc,gyr", "acc"])
+@pytest.mark.parametrize("command", ["train", "evaluate", "classify", "replay"])
+def test_recording_without_samples_is_a_parse_error(tmp_path, corpus, hierarchy_models, capsys,
+                                                    command, sensors):
+    """A recording with a header and no rows, or with rows only for a sensor
+    that --sensors leaves out, names its file."""
+    labels = (corpus / "labels.csv").read_text(encoding="utf-8").splitlines()[:3]
+    ids = [line.split(",")[0] for line in labels[1:]]
+    (tmp_path / "labels.csv").write_text("\n".join(labels) + "\n", encoding="utf-8")
+    for rec_id in ids:
+        (tmp_path / f"{rec_id}.csv").write_bytes((corpus / f"{rec_id}.csv").read_bytes())
+    bad = tmp_path / f"{ids[0]}.csv"
+    header, *rows = bad.read_text(encoding="utf-8").splitlines(keepends=True)
+    bad.write_text(header + "".join(r for r in rows if sensors == "acc" and ",gyr," in r),
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    s1, s3 = hierarchy_models
+    argv = {
+        "train": ["train", "--corpus", str(tmp_path)],
+        "evaluate": ["evaluate", "--corpus", str(tmp_path), "--k", "2"],
+        "classify": ["classify", "--model-file", str(s3), "--recording", str(bad)],
+        "replay": ["replay", "--s1-model", str(s1), "--s3-model", str(s3), "--recording", str(bad)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--sensors", sensors, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: no sample rows for the sensors {sensors}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
