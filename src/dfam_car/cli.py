@@ -267,21 +267,22 @@ def cmd_replay(args) -> int:
         )
     sensors = _subset(args.sensors, SENSORS, "sensor")
     series = read_recording(args.recording, args.fs, sensors)
-    flags = _read_context(args.context) if args.context else {}
-    phone = [i for i, ch in enumerate(sorted(series)) if ch.device == "phone"]
-    steps = list(pipeline.replay(series, s1_model, s3_model, args.reset, flags, args.cutoff,
-                                 sensors, phone if args.s1_channels == "phone" else None))
-    if flags and max(flags) >= len(steps):
-        raise ConfigError(
-            f"{args.context}: window_index {max(flags)} is past the last window;"
-            f" the recording has {len(steps)} windows"
-        )
+
+    def context(n_windows: int) -> dict[int, bool]:
+        flags = _read_context(args.context) if args.context else {}
+        if flags and max(flags) >= n_windows:
+            raise ConfigError(f"{args.context}: window_index {max(flags)} is past the last"
+                              f" window; the recording has {n_windows} windows")
+        return flags
+
+    replayed = pipeline.replay(series, s1_model, s3_model, args.reset, context, args.cutoff,
+                               args.s1_channels == "phone")
     _warn_unchecked_channels([(args.s1_model, s1_model), (args.s3_model, s3_model)])
-    events = [event for _, event in steps if event is not None]
+    states, events = zip(*replayed)  # a recording has at least one window
+    events = [event for event in events if event is not None]
     write_events_jsonl(events, args.out)
-    states = [state for state, _ in steps]
     print(
-        f"replayed {len(steps)} windows: {len(events)} events, "
+        f"replayed {len(states)} windows: {len(events)} events, "
         f"S1 invocations {states.count('S1')}, S3 invocations {states.count('S3')} -> {args.out}"
     )
     return 0

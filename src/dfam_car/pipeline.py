@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import classifiers, dfam
 from .dfam import ActivityLabel, BinLayout
@@ -235,21 +235,26 @@ def relabel_distracted(instances: Sequence[Instance]) -> list[Instance]:
         NOT_DISTRACTED_LABEL if a.distraction is None else DISTRACTED_LABEL))
 
 
+def phone_axes(bundle: Mapping[Channel, Window]) -> list[int]:
+    """Positions of a bundle's phone channels in canonical channel order."""
+    return [i for i, ch in enumerate(sorted(bundle)) if ch.device == "phone"]
+
+
 def replay(
     series_by_channel: Mapping[Channel, TimeSeries], s1_model: dfam.DfamModel,
-    s3_model: dfam.DfamModel, reset_period: int, in_use: Mapping[int, bool],
-    cutoff_hz: float | None, sensors: Sequence[str], s1_axes: Sequence[int] | None,
+    s3_model: dfam.DfamModel, reset_period: int,
+    in_use: Callable[[int], Mapping[int, bool]], cutoff_hz: float | None, s1_phone_only: bool,
 ) -> Iterator[tuple[str, DistractionEvent | None]]:
-    """Drive one recording through the S1/S2/S3 machine, window by window.
-
-    The series are windowed as the S3 DFAM model reads them, at its sample
-    rate. Each model's recorded channels must be those it is fed: S3 all of
-    them, S1 those at positions s1_axes (None: all) in canonical order.
-    in_use maps a window index to its smartphone-in-use flag (absent: False).
-    Yields, per window, the state it was processed in and its event or None.
-    """
-    bundles = prepare_bundles(series_by_channel, s3_model.window_size, cutoff_hz, sensors)
+    """Window one recording as the S3 model reads it, call in_use(n) with its
+    window count for each window index's smartphone-in-use flag (absent:
+    False), and check each model's channels against those it is fed (S1: the
+    phone ones if s1_phone_only, else all). The iterator returned then drives
+    the S1/S2/S3 machine one window per step, yielding the state the window
+    was processed in and its event or None."""
+    bundles = prepare_bundles(series_by_channel, s3_model.window_size, cutoff_hz)
+    flags = in_use(len(bundles))
     channels = sorted(bundles[0])
+    s1_axes = phone_axes(bundles[0]) if s1_phone_only else None
     s1_channels = channels if s1_axes is None else [channels[i] for i in s1_axes]
     for state, model, fed in (("S1", s1_model, s1_channels), ("S3", s3_model, channels)):
         if model.channels is not None and list(model.channels) != fed:
@@ -258,10 +263,9 @@ def replay(
                 f" but replay feeds it {','.join(ch.key for ch in fed)}"
             )
     machine = HierarchicalCar(s1_model, s3_model, reset_period, s1_axes)
-    for i, bundle in enumerate(bundles):
-        spectra = bundle_spectra(bundle, s3_model.layout.sample_rate_hz)
-        event = machine.process(spectra, in_use.get(i, False))
-        yield machine.trace[-1], event
+    fs = s3_model.layout.sample_rate_hz
+    return ((machine.state.state, machine.process(bundle_spectra(bundle, fs), flags.get(i, False)))
+            for i, bundle in enumerate(bundles))
 
 
 # --------------------------------------------------------- model file dispatch

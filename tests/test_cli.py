@@ -563,6 +563,49 @@ def test_recording_without_samples_is_a_parse_error(tmp_path, corpus, hierarchy_
     assert not out.exists()
 
 
+def test_replay_reports_the_first_of_two_faults_in_its_check_order(tmp_path, corpus,
+                                                                  hierarchy_models, capsys):
+    """The recording is windowed before the context file is read, the context
+    is checked before the models' channels, and the v1 warning comes before
+    the first window is processed."""
+    s1, s3 = hierarchy_models
+    recording = next(p for p in sorted(corpus.iterdir()) if "walking+eating" in p.name)
+    header, *rows = recording.read_text(encoding="utf-8").splitlines(keepends=True)
+    cut = [i for i, row in enumerate(rows) if ",watch,gyr," in row][-100:]
+    misaligned = tmp_path / "misaligned.csv"  # its watch gyroscope ends 2 s early
+    misaligned.write_text(header + "".join(r for i, r in enumerate(rows) if i not in cut),
+                          encoding="utf-8")
+    bad_context, past_context = tmp_path / "bad.csv", tmp_path / "past.csv"
+    bad_context.write_text("window_index,smartphone_in_use\n0,maybe\n", encoding="utf-8")
+    past_context.write_text("window_index,smartphone_in_use\n0,1\n99,0\n", encoding="utf-8")
+    s1_phone, s3_acc = tmp_path / "s1_phone.dfam", tmp_path / "s3_acc.dfam"
+    train = ["train", "--corpus", str(corpus), "--model", "dfam", "--W", "64"]
+    assert main(train + ["--devices", "phone", "--relabel", "moving", "--out", str(s1_phone)]) == 0
+    assert main(train + ["--sensors", "acc", "--relabel", "distracted", "--out", str(s3_acc)]) == 0
+    s1_v1 = tmp_path / "s1_phone_v1.dfam"
+    head, body = s1_phone.read_text(encoding="utf-8").split("\n", 1)
+    s1_v1.write_text("DFAM v1 " + head[8:].split(" channels=")[0] + "\n" + body, encoding="utf-8")
+    out = tmp_path / "events.jsonl"
+    cases = [
+        (misaligned, bad_context, s1, s3,
+         "error: channels yield differing window counts: [6, 7]\n"),
+        (recording, past_context, s1, s3_acc,
+         f"error: {past_context}: window_index 99 is past the last window;"
+         " the recording has 7 windows\n"),
+        (recording, None, s1_v1, s3,
+         f"warning: {s1_v1}: DFAM v1 model files record no channels;"
+         " the channels they are applied to are not checked\n"
+         "error: test signature is 12x3, model expects 6x3\n"),
+    ]
+    for rec, context, s1_model, s3_model, err in cases:
+        argv = ["replay", "--recording", str(rec), "--s1-model", str(s1_model),
+                "--s3-model", str(s3_model), "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv + (["--context", str(context)] if context else [])) == 1
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text", [b"DFAM v1 W=64 \xff\n", b'MODEL v1 kind=knn\n{"labels": ["\xff"]}\n']
 )

@@ -42,9 +42,8 @@ def replay_oracle(series, s1, s3, reset, flags, s1_channels):
 def driven(series, s1, s3, reset, flags, s1_channels):
     """pipeline.replay called as `dfam-car replay` calls it, its steps split
     into the trace and the events."""
-    phone = [i for i, ch in enumerate(sorted(series)) if ch.device == "phone"]
-    steps = list(pipeline.replay(series, s1, s3, reset, flags, DEFAULT_CUTOFF_HZ, SENSORS,
-                                 phone if s1_channels == "phone" else None))
+    steps = list(pipeline.replay(series, s1, s3, reset, lambda n: flags, DEFAULT_CUTOFF_HZ,
+                                 s1_channels == "phone"))
     for i, (_, event) in enumerate(steps):
         assert event is None or event.window_index == i
     return [state for state, _ in steps], [event for _, event in steps if event is not None]
@@ -136,3 +135,16 @@ def test_replay_checks_channels_as_the_cli_loop_did(models, stream):
         replay_oracle, short, s1_phone, s3, 30, {}, "all") == (
         "NotEnoughDataError", f"series of length {W - 1} is shorter than one window of {W}")
 
+
+
+def test_replay_reads_the_context_with_the_window_count_then_checks_at_the_call(models, stream):
+    seen = []
+
+    def in_use(n):
+        seen.append(n)
+        return {}
+
+    with pytest.raises(ConfigError, match="the S1 model reads channels"):
+        pipeline.replay(stream, models["s1_phone"], models["s3"], 30, in_use, DEFAULT_CUTOFF_HZ,
+                        False)  # raised without taking a step
+    assert seen == [len(pipeline.prepare_bundles(stream, W))]
