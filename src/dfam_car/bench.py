@@ -33,7 +33,7 @@ def build_bench_windows(
     sample_rate_hz: float = 50.0,
     seed: int = 0,
     noise_std: float = 0.3,
-    cutoff_hz: float | None = DEFAULT_CUTOFF_HZ,
+    cutoff_hz: float = DEFAULT_CUTOFF_HZ,
 ):
     """Labeled window bundles, interleaved across activities for balance."""
     if train_size < 1 or n_test < 1:
@@ -89,7 +89,7 @@ def run_benchmark(
     seed: int = 0,
     repetitions: int = 10,
     noise_std: float = 0.3,
-    cutoff_hz: float | None = DEFAULT_CUTOFF_HZ,
+    cutoff_hz: float = DEFAULT_CUTOFF_HZ,
 ) -> dict:
     """Min / median / p95 per-window latency per model.
 

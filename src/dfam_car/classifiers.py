@@ -597,7 +597,7 @@ def _feature_predict(model, vector):
 def _feature_windowing(model, window_size, sample_rate_hz):
     params = model.params
     return (
-        window_size or params.get("window_size"),
+        params.get("window_size") or window_size,
         params.get("sample_rate_hz", sample_rate_hz),
         None,
         None,

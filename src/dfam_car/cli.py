@@ -96,11 +96,12 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _filter_placement(recordings, placement_filter):
-    if not placement_filter:
-        return recordings
-    keep = set(placement_filter)
-    return [r for r in recordings if r.placement in keep]
+def _load_corpus(args, sensors):
+    """The corpus's recordings at the --placement subset; every one without it."""
+    keep = (None if args.placement is None
+            else _subset(args.placement, synth.PLACEMENTS, "placement"))
+    recordings = pipeline.load_corpus(args.corpus, args.fs, sensors)
+    return recordings if keep is None else [r for r in recordings if r.placement in keep]
 
 
 def cmd_train(args) -> int:
@@ -108,19 +109,14 @@ def cmd_train(args) -> int:
     sensors = _subset(args.sensors, SENSORS, "sensor")
     devices = _subset(args.devices, DEVICES, "device")
     _validate_w([args.W], args.allow_any_w)
-    recordings = _filter_placement(
-        pipeline.load_corpus(args.corpus, args.fs, sensors),
-        _comma_list(args.placement) if args.placement else None,
-    )
+    recordings = _load_corpus(args, sensors)
     layout = BinLayout.equal_width(args.g, args.fs)
-    instances = pipeline.instances_for(
-        spec, recordings, args.W, layout, sensors, args.cutoff, devices
-    )
+    instances = pipeline.instances_for(spec, recordings, args.W, layout, args.cutoff, devices)
     if args.relabel == "moving":
         instances = pipeline.relabel_moving(instances)
     elif args.relabel == "distracted":
         instances = pipeline.relabel_distracted(instances)
-    channels = pipeline.corpus_channels(recordings, sensors, devices)
+    channels = pipeline.corpus_channels(recordings, devices)
     train_fn, _ = pipeline.trainer_for(spec, layout, args.W, args.seed, channels)
     model = train_fn(sorted(instances, key=lambda i: (i.label, i.block or "", i.participant or "")))
     spec.kind.save(model, args.out)
@@ -153,7 +149,7 @@ def cmd_classify(args) -> int:
     if channels is not None:
         series = pipeline.model_series(series, channels)
     _warn_unchecked_channels([(args.model_file, model)])
-    bundles = pipeline.prepare_bundles(series, int(window_size), args.cutoff, sensors)
+    bundles = pipeline.prepare_bundles(series, int(window_size), args.cutoff)
     rows = []
     for bundle in bundles:
         label, score = kind.predict(model, pipeline.window_payload(kind, bundle, fs, layout))
@@ -168,8 +164,8 @@ def cmd_classify(args) -> int:
 def _evaluate_cell(recordings, protocol, spec_text, w, g, sensors, cutoff, fs, seed, k):
     spec = pipeline.ModelSpec.parse(spec_text)
     layout = BinLayout.equal_width(g, fs)
-    instances = pipeline.instances_for(spec, recordings, w, layout, sensors, cutoff)
-    channels = pipeline.corpus_channels(recordings, sensors)
+    instances = pipeline.instances_for(spec, recordings, w, layout, cutoff)
+    channels = pipeline.corpus_channels(recordings)
     train_fn, predict_fn = pipeline.trainer_for(spec, layout, w, seed, channels)
     mean_participant = ""
     if protocol == "kfold":
@@ -205,14 +201,14 @@ def cmd_evaluate(args) -> int:
     sensors = _subset(args.sensors, SENSORS, "sensor")
     ws = args.W
     gs = args.g
-    _validate_w(ws, args.allow_any_w)
     models = _comma_list(args.models)
+    for flag, values in (("--models", models), ("--W", ws), ("--g", gs)):
+        if not values:
+            raise ConfigError(f"{flag} must not be empty")
+    _validate_w(ws, args.allow_any_w)
     for m in models:
         pipeline.ModelSpec.parse(m)  # fail fast on bad specs
-    recordings = _filter_placement(
-        pipeline.load_corpus(args.corpus, args.fs, sensors),
-        _comma_list(args.placement) if args.placement else None,
-    )
+    recordings = _load_corpus(args, sensors)
     results = [
         _evaluate_cell(
             recordings, args.protocol, m, w, g, sensors, args.cutoff, args.fs, args.seed, args.k
@@ -275,8 +271,7 @@ def cmd_replay(args) -> int:
                               f" window; the recording has {n_windows} windows")
         return flags
 
-    replayed = pipeline.replay(series, s1_model, s3_model, args.reset, context, args.cutoff,
-                               args.s1_channels == "phone")
+    replayed = pipeline.replay(series, s1_model, s3_model, args.reset, context, args.cutoff)
     _warn_unchecked_channels([(args.s1_model, s1_model), (args.s3_model, s3_model)])
     states, events = zip(*replayed)  # a recording has at least one window
     events = [event for event in events if event is not None]
@@ -392,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s1-model", required=True)
     p.add_argument("--s3-model", required=True)
     p.add_argument("--reset", type=int, default=DEFAULT_RESET_PERIOD)
-    p.add_argument("--s1-channels", choices=("all", "phone"), default="all")
     p.add_argument("--out", required=True)
     _add_common(p, "fs", "cutoff", "sensors")
     p.set_defaults(func=cmd_replay)

@@ -69,33 +69,21 @@ def load_corpus(
 def prepare_bundles(
     series_by_channel: Mapping[Channel, TimeSeries],
     window_size: int,
-    cutoff_hz: float | None = DEFAULT_CUTOFF_HZ,
-    sensors: Sequence[str] = SENSORS,
+    cutoff_hz: float = DEFAULT_CUTOFF_HZ,
     devices: Sequence[str] = DEVICES,
 ) -> list[dict[Channel, Window]]:
-    """Low-pass filter (optional), then segment and align all channels."""
-    selected = _select(series_by_channel, sensors, devices)
-    if cutoff_hz is not None:
-        selected = {ch: low_pass_filter(s, cutoff_hz) for ch, s in selected.items()}
-    return window_bundles(selected, window_size)
-
-
-def _select(series_by_channel, sensors, devices) -> dict:
-    return {
-        ch: s
-        for ch, s in series_by_channel.items()
-        if ch.sensor in sensors and ch.device in devices
-    }
+    """Low-pass filter the given devices' channels, then segment and align them."""
+    return window_bundles({ch: low_pass_filter(s, cutoff_hz) for ch, s in
+                           series_by_channel.items() if ch.device in devices}, window_size)
 
 
 def corpus_channels(
-    recordings: Sequence[Recording],
-    sensors: Sequence[str] = SENSORS,
-    devices: Sequence[str] = DEVICES,
+    recordings: Sequence[Recording], devices: Sequence[str] = DEVICES
 ) -> tuple[Channel, ...]:
     """The channels instances_for windows, in canonical order; the recordings
     must all have the same ones."""
-    found = {tuple(sorted(_select(rec.series, sensors, devices))) for rec in recordings}
+    found = {tuple(sorted(ch for ch in rec.series if ch.device in devices))
+             for rec in recordings}
     if len(found) > 1:
         raise AlignmentError("recordings carry different channels")
     return found.pop() if found else ()
@@ -182,14 +170,13 @@ def instances_for(
     recordings: Sequence[Recording],
     window_size: int,
     layout: BinLayout,
-    sensors: Sequence[str] = SENSORS,
-    cutoff_hz: float | None = DEFAULT_CUTOFF_HZ,
+    cutoff_hz: float = DEFAULT_CUTOFF_HZ,
     devices: Sequence[str] = DEVICES,
 ) -> list[Instance]:
     out = []
     for rec in recordings:
         fs = next(iter(rec.series.values())).sample_rate_hz
-        for bundle in prepare_bundles(rec.series, window_size, cutoff_hz, sensors, devices):
+        for bundle in prepare_bundles(rec.series, window_size, cutoff_hz, devices):
             try:
                 payload = window_payload(spec.kind, bundle, fs, layout)
             except DataQualityError as exc:
@@ -202,13 +189,11 @@ def signature_instances(
     recordings: Sequence[Recording],
     window_size: int,
     layout: BinLayout,
-    sensors: Sequence[str] = SENSORS,
-    cutoff_hz: float | None = DEFAULT_CUTOFF_HZ,
+    cutoff_hz: float = DEFAULT_CUTOFF_HZ,
     devices: Sequence[str] = DEVICES,
 ) -> list[Instance]:
-    return instances_for(
-        ModelSpec.parse("dfam"), recordings, window_size, layout, sensors, cutoff_hz, devices
-    )
+    return instances_for(ModelSpec.parse("dfam"), recordings, window_size, layout, cutoff_hz,
+                         devices)
 
 
 # --------------------------------------------------------- hierarchy helpers
@@ -235,26 +220,22 @@ def relabel_distracted(instances: Sequence[Instance]) -> list[Instance]:
         NOT_DISTRACTED_LABEL if a.distraction is None else DISTRACTED_LABEL))
 
 
-def phone_axes(bundle: Mapping[Channel, Window]) -> list[int]:
-    """Positions of a bundle's phone channels in canonical channel order."""
-    return [i for i, ch in enumerate(sorted(bundle)) if ch.device == "phone"]
-
-
 def replay(
     series_by_channel: Mapping[Channel, TimeSeries], s1_model: dfam.DfamModel,
     s3_model: dfam.DfamModel, reset_period: int,
-    in_use: Callable[[int], Mapping[int, bool]], cutoff_hz: float | None, s1_phone_only: bool,
+    in_use: Callable[[int], Mapping[int, bool]], cutoff_hz: float,
 ) -> Iterator[tuple[str, DistractionEvent | None]]:
     """Window one recording as the S3 model reads it, call in_use(n) with its
     window count for each window index's smartphone-in-use flag (absent:
-    False), and check each model's channels against those it is fed (S1: the
-    phone ones if s1_phone_only, else all). The iterator returned then drives
-    the S1/S2/S3 machine one window per step, yielding the state the window
-    was processed in and its event or None."""
+    False), and check each model's channels against those it is fed: S1 the
+    ones it records (a v1 model, which records none: all), S3 all. The
+    iterator returned then drives the S1/S2/S3 machine one window per step,
+    yielding the state the window was processed in and its event or None."""
     bundles = prepare_bundles(series_by_channel, s3_model.window_size, cutoff_hz)
     flags = in_use(len(bundles))
     channels = sorted(bundles[0])
-    s1_axes = phone_axes(bundles[0]) if s1_phone_only else None
+    s1_axes = None if s1_model.channels is None else [
+        i for i, ch in enumerate(channels) if ch in s1_model.channels]
     s1_channels = channels if s1_axes is None else [channels[i] for i in s1_axes]
     for state, model, fed in (("S1", s1_model, s1_channels), ("S3", s3_model, channels)):
         if model.channels is not None and list(model.channels) != fed:

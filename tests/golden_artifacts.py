@@ -92,7 +92,7 @@ def write_artifacts(work: Path) -> dict[str, Path]:
     context.write_text(CONTEXT, encoding="utf-8")
     events = work / "events.jsonl"
     _run("replay", "--recording", recording, "--context", context, "--s1-model", out["train s1"],
-         "--s3-model", out["train s3"], "--s1-channels", "phone", "--reset", 5, "--out", events)
+         "--s3-model", out["train s3"], "--reset", 5, "--out", events)
     out["replay"] = events
     return out
 

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -42,8 +43,10 @@ def corpora():
 
 
 def _dfam_kfold_accuracy(recordings, g, w, sensors=("acc", "gyr")):
+    recordings = [dataclasses.replace(rec, series={
+        ch: s for ch, s in rec.series.items() if ch.sensor in sensors}) for rec in recordings]
     layout = BinLayout.equal_width(g, FS)
-    instances = pipeline.signature_instances(recordings, w, layout, sensors=sensors)
+    instances = pipeline.signature_instances(recordings, w, layout)
     train_fn, predict_fn = pipeline.trainer_for(pipeline.ModelSpec.parse("dfam"), layout, w, 0)
     report = kfold(instances, train_fn, predict_fn, k=10, seed=0)
     return report.accuracy

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import time
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import rfft_spectrum
 from dfam_car import bench as bench_mod
-from dfam_car import dfam, pipeline
+from dfam_car import classifiers, dfam, pipeline
 from dfam_car.cli import REPORT_COLUMNS, _read_context, main
 from dfam_car.dfam import classify, extract_signature, load_model
 from dfam_car.errors import ParseError
@@ -187,6 +188,70 @@ def test_classify_recording(tmp_path, corpus, capsys):
     truth = recording.name.split("_", 1)[1].rsplit("_", 1)[0]
     correct = sum(1 for r in rows if r["label"] == truth)
     assert correct >= len(rows) // 2  # model saw this recording during training
+
+
+def test_classify_windows_at_a_baseline_model_s_own_size(tmp_path, corpus, capsys):
+    """A baseline model's stamped W beats --W, as a DFAM model's does; --W
+    gives the W only to a feature file without a stamp."""
+    model = tmp_path / "knn3.model"
+    assert main(["train", "--corpus", str(corpus), "--model", "knn3", "--W", "64",
+                 "--out", str(model)]) == 0
+    out = tmp_path / "labels.csv"
+    argv = ["classify", "--recording", str(corpus / "p00_walking_RR.csv"), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv + ["--model-file", str(model), "--W", "128"]) == 1
+    assert capsys.readouterr().err == "error: --W 128 differs from the model's window size 64\n"
+    assert not out.exists()
+    stamped = classifiers.load_feature_model(model)
+    unstamped = tmp_path / "unstamped.model"
+    params = {k: v for k, v in stamped.params.items() if k != "window_size"}
+    classifiers.save_feature_model(dataclasses.replace(stamped, params=params), unstamped)
+    assert main(argv + ["--model-file", str(unstamped)]) == 1
+    assert capsys.readouterr().err == "error: feature model file carries no window size; pass --W\n"
+    assert main(argv + ["--model-file", str(unstamped), "--W", "128"]) == 0
+    assert len(csv_dicts(out)) == 500 // 128
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_placement_names_known_placements(tmp_path, corpus, capsys, command):
+    """--placement is a non-empty subset of synth.PLACEMENTS; without it every
+    recording is kept, whatever placement labels.csv gives it."""
+    out = tmp_path / "out"
+    argv = [command, "--corpus", str(corpus), "--W", "128", "--out", str(out)]
+    for value, message in (("XX", "unknown placement 'XX', expected subset of "
+                                  "('RR', 'LL', 'RL', 'LR')"),
+                           (",", "placement set must not be empty")):
+        capsys.readouterr()
+        assert main(argv + ["--placement", value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    for path in corpus.iterdir():
+        text = path.read_text(encoding="utf-8")
+        if path.name == "labels.csv":
+            text = text.replace(",RR\n", ",XX\n")
+        (elsewhere / path.name).write_text(text, encoding="utf-8")
+    counts = []
+    for corpus_dir, extra in ((corpus, []), (elsewhere, []), (corpus, ["--placement", "LL"]),
+                              (elsewhere, ["--placement", "LL"])):
+        argv[2] = str(corpus_dir)
+        capsys.readouterr()
+        assert main(argv + extra) == 0
+        if command == "train":
+            counts.append(int(capsys.readouterr().out.split()[3]))
+        else:
+            counts.append(int(csv_dicts(out)[0]["n"]))
+    assert counts[0] == counts[1] == 2 * counts[2] == 2 * counts[3]
+
+
+@pytest.mark.parametrize("flag", ["--models", "--W", "--g"])
+def test_evaluate_rejects_an_empty_grid(tmp_path, corpus, capsys, flag):
+    out = tmp_path / "report.csv"
+    capsys.readouterr()
+    assert main(["evaluate", "--corpus", str(corpus), flag, ",", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {flag} must not be empty\n"
+    assert not out.exists()
 
 
 def test_evaluate_kfold_cell_counts(tmp_path, corpus):
@@ -406,7 +471,7 @@ def test_replay_context_bad_row(tmp_path, row):
         ("svm", "MODEL v1 kind=svm"),
     ],
 )
-def test_model_kinds_train_and_classify(tmp_path, corpus, spec, header):
+def test_model_kinds_train_and_classify(tmp_path, corpus, capsys, spec, header):
     assert str(ModelSpec.parse(spec)) == spec
     model = tmp_path / "m"
     rc = main(["train", "--corpus", str(corpus), "--model", spec, "--W", "128",
@@ -419,12 +484,12 @@ def test_model_kinds_train_and_classify(tmp_path, corpus, spec, header):
                "--out", str(out)])
     assert rc == 0
     assert len(csv_dicts(out)) == 500 // 128
-    # --W overrides a feature model's window size and must match a DFAM model's
+    # every model windows recordings at its own W; another --W is an error
+    capsys.readouterr()
     rc = main(["classify", "--model-file", str(model), "--recording", str(recording),
                "--W", "64", "--out", str(out)])
-    assert rc == (1 if spec == "dfam" else 0)
-    if rc == 0:
-        assert len(csv_dicts(out)) == 500 // 64
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --W 64 differs from the model's window size 128\n"
 
 
 def test_bench_smoke(tmp_path):
@@ -470,7 +535,7 @@ def test_evaluate_and_bench_models_record_their_channels(tmp_path, corpus, monke
     assert main(["evaluate", "--corpus", str(corpus), "--protocol", "kfold", "--k", "2",
                  "--models", "dfam", "--W", "128", "--g", "1", "--sensors", "acc",
                  "--out", str(tmp_path / "report.csv")]) == 0
-    acc = pipeline.corpus_channels(pipeline.load_corpus(corpus, 50.0, ("acc",)), ("acc",))
+    acc = pipeline.corpus_channels(pipeline.load_corpus(corpus, 50.0, ("acc",)))
     assert len(acc) == 6
     assert len(built) == 2 and all(model.channels == acc for model in built)
     built.clear()
@@ -705,11 +770,11 @@ def test_model_channels_guard_classify_and_replay(tmp_path, corpus, capsys):
     assert "phone_gyr_x,phone_gyr_y,phone_gyr_z" in capsys.readouterr().err
     replay = ["replay", "--recording", str(recording), "--s1-model", str(s1),
               "--out", str(tmp_path / "events.jsonl")]
-    assert main(replay + ["--s3-model", str(s3), "--s1-channels", "phone"]) == 0
-    assert main(replay + ["--s3-model", str(s3)]) == 1  # S1 would get all twelve axes
-    assert "S1 model reads channels" in capsys.readouterr().err
-    assert main(replay + ["--s3-model", str(s3_acc), "--s1-channels", "phone"]) == 1
+    assert main(replay + ["--s3-model", str(s3)]) == 0  # S1 gets its model's six phone axes
+    assert main(replay + ["--s3-model", str(s3_acc)]) == 1
     assert "S3 model reads channels" in capsys.readouterr().err
+    assert main(replay + ["--s3-model", str(s3_acc), "--sensors", "acc"]) == 1
+    assert "S1 model reads channels" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2():
@@ -723,6 +788,8 @@ def test_usage_errors_exit_2():
     for argv in (["classify", "--model-file", "m", "--recording", "r", "--out", "o", "--seed", "1"],
                  ["replay", "--recording", "r", "--s1-model", "a", "--s3-model", "b",
                   "--out", "o", "--seed", "1"],
+                 ["replay", "--recording", "r", "--s1-model", "a", "--s3-model", "b",
+                  "--out", "o", "--s1-channels", "phone"],
                  ["bench", "--sensors", "acc"]):
         with pytest.raises(SystemExit) as e:
             main(argv)

@@ -39,11 +39,10 @@ def replay_oracle(series, s1, s3, reset, flags, s1_channels):
     return machine.trace, machine.events
 
 
-def driven(series, s1, s3, reset, flags, s1_channels):
+def driven(series, s1, s3, reset, flags):
     """pipeline.replay called as `dfam-car replay` calls it, its steps split
     into the trace and the events."""
-    steps = list(pipeline.replay(series, s1, s3, reset, lambda n: flags, DEFAULT_CUTOFF_HZ,
-                                 s1_channels == "phone"))
+    steps = list(pipeline.replay(series, s1, s3, reset, lambda n: flags, DEFAULT_CUTOFF_HZ))
     for i, (_, event) in enumerate(steps):
         assert event is None or event.window_index == i
     return [state for state, _ in steps], [event for _, event in steps if event is not None]
@@ -56,11 +55,17 @@ def outcome(run, *args):
         return type(exc).__name__, str(exc)
 
 
+def only(series, sensors):
+    """The series of the given sensors, as `--sensors` reads a recording."""
+    return {ch: s for ch, s in series.items() if ch.sensor in sensors}
+
+
 def train(recordings, relabel, devices=("phone", "watch"), sensors=SENSORS):
+    recordings = [dataclasses.replace(rec, series=only(rec.series, sensors)) for rec in recordings]
     layout = BinLayout.equal_width(2, FS)
     instances = relabel(pipeline.signature_instances(
-        recordings, W, layout, sensors, DEFAULT_CUTOFF_HZ, devices))
-    channels = pipeline.corpus_channels(recordings, sensors, devices)
+        recordings, W, layout, DEFAULT_CUTOFF_HZ, devices))
+    channels = pipeline.corpus_channels(recordings, devices)
     train_fn, _ = pipeline.trainer_for(pipeline.ModelSpec.parse("dfam"), layout, W, 0, channels)
     return train_fn(instances)
 
@@ -95,10 +100,12 @@ def stream():
 @pytest.mark.parametrize("with_flags", [False, True])
 @pytest.mark.parametrize("s1_channels", ["all", "phone"])
 def test_replay_matches_the_cli_loop(models, stream, s1_channels, with_flags, reset):
+    """S1 is fed the channels its model records: the oracle's "phone" for the
+    phone model, "all" for the model of all twelve axes."""
     s1 = models["s1_phone" if s1_channels == "phone" else "s1"]
     n = len(pipeline.prepare_bundles(stream, W))
     flags = {i: i % 5 == 1 for i in range(n)} if with_flags else {}
-    trace, events = driven(stream, s1, models["s3"], reset, flags, s1_channels)
+    trace, events = driven(stream, s1, models["s3"], reset, flags)
     assert (trace, events) == replay_oracle(stream, s1, models["s3"], reset, flags, s1_channels)
     assert len(trace) == n
     if reset == 1:
@@ -111,30 +118,38 @@ def test_replay_matches_the_cli_loop(models, stream, s1_channels, with_flags, re
 
 def test_replay_checks_channels_as_the_cli_loop_did(models, stream):
     s1, s1_phone, s3, s3_acc = (models[k] for k in ("s1", "s1_phone", "s3", "s3_acc"))
-    phone = ",".join(ch.key for ch in s1_phone.channels)
+    # S1 reads the channels its model records, whichever they are
+    assert driven(stream, s1_phone, s3, 30, {}) == replay_oracle(
+        stream, s1_phone, s3, 30, {}, "phone")
+    assert driven(stream, s1, s3, 30, {}) == replay_oracle(stream, s1, s3, 30, {}, "all")
     every = ",".join(ch.key for ch in s3.channels)
-    cases = [
-        (stream, s1_phone, s3, "all",
-         f"the S1 model reads channels {phone} but replay feeds it {every}"),
-        (stream, s1, s3, "phone",
-         f"the S1 model reads channels {every} but replay feeds it {phone}"),
+    acc = only(stream, ("acc",))
+    phone_acc = ",".join(ch.key for ch in sorted(acc) if ch.device == "phone")
+    cases = [  # S3 reads every channel; S1 can read no channel the recording lacks
         (stream, s1_phone, s3_acc, "phone",
          f"the S3 model reads channels {','.join(ch.key for ch in s3_acc.channels)}"
          f" but replay feeds it {every}"),
+        (acc, s1_phone, s3_acc, "phone",
+         f"the S1 model reads channels {','.join(ch.key for ch in s1_phone.channels)}"
+         f" but replay feeds it {phone_acc}"),
     ]
     for series, s1_model, s3_model, s1_channels, message in cases:
-        args = (series, s1_model, s3_model, 30, {}, s1_channels)
-        assert outcome(driven, *args) == outcome(replay_oracle, *args) == ("ConfigError", message)
-    # models that record no channels are not checked
-    unchecked = dataclasses.replace(s1_phone, channels=None), dataclasses.replace(s3, channels=None)
-    assert driven(stream, *unchecked, 30, {}, "phone") == replay_oracle(
-        stream, *unchecked, 30, {}, "phone")
+        assert outcome(driven, series, s1_model, s3_model, 30, {}) == outcome(
+            replay_oracle, series, s1_model, s3_model, 30, {}, s1_channels) == (
+            "ConfigError", message)
+    # models that record no channels are not checked, and a v1 S1 model gets
+    # every channel: one trained on the phone alone fails when it classifies
+    unchecked = dataclasses.replace(s1, channels=None), dataclasses.replace(s3, channels=None)
+    assert driven(stream, *unchecked, 30, {}) == replay_oracle(stream, *unchecked, 30, {}, "all")
+    v1_phone = dataclasses.replace(s1_phone, channels=None)
+    assert outcome(driven, stream, v1_phone, s3, 30, {}) == outcome(
+        replay_oracle, stream, v1_phone, s3, 30, {}, "all") == (
+        "AlignmentError", "test signature is 12x2, model expects 6x2")
     # a recording shorter than one window fails before any check
     short = {ch: TimeSeries(ch, FS, s.values[: W - 1]) for ch, s in stream.items()}
-    assert outcome(driven, short, s1_phone, s3, 30, {}, "all") == outcome(
+    assert outcome(driven, short, s1_phone, s3, 30, {}) == outcome(
         replay_oracle, short, s1_phone, s3, 30, {}, "all") == (
         "NotEnoughDataError", f"series of length {W - 1} is shorter than one window of {W}")
-
 
 
 def test_replay_reads_the_context_with_the_window_count_then_checks_at_the_call(models, stream):
@@ -144,7 +159,7 @@ def test_replay_reads_the_context_with_the_window_count_then_checks_at_the_call(
         seen.append(n)
         return {}
 
-    with pytest.raises(ConfigError, match="the S1 model reads channels"):
-        pipeline.replay(stream, models["s1_phone"], models["s3"], 30, in_use, DEFAULT_CUTOFF_HZ,
-                        False)  # raised without taking a step
+    with pytest.raises(ConfigError, match="the S3 model reads channels"):
+        pipeline.replay(stream, models["s1_phone"], models["s3_acc"], 30, in_use,
+                        DEFAULT_CUTOFF_HZ)  # raised without taking a step
     assert seen == [len(pipeline.prepare_bundles(stream, W))]
