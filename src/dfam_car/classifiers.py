@@ -20,7 +20,7 @@ import numpy as np
 from . import dfam
 from .errors import ConfigError, ParseError, TrainingError
 from .features import FeatureVector, Schema
-from .signals import read_utf8
+from .signals import CHANNEL_BY_KEY, Channel, read_utf8
 
 _VAR_FLOOR = 1e-9
 # cap on the (row, feature) cells one batch of _search_splits holds at once
@@ -64,6 +64,11 @@ class FeatureModel:
     labels: tuple[str, ...]  # canonical sorted order
     schema: Schema
     params: dict
+
+    @property
+    def channels(self) -> tuple[Channel, ...]:
+        """The channels the schema's per-axis features name, in canonical order."""
+        return tuple(sorted({CHANNEL_BY_KEY[k] for _, k in self.schema if k in CHANNEL_BY_KEY}))
 
 
 def _canonical_labels(labels: Sequence[str]) -> tuple[str, ...]:
@@ -490,23 +495,25 @@ def loads_feature_model(text: str, path=None) -> FeatureModel:
     except (KeyError, TypeError, ValueError, OverflowError):
         raise ParseError("bad model params or schema", 2, path) from None
     labels = tuple(body["labels"])
-    misfit = _misfit(kind, params, labels, len(schema))
+    misfit = _misfit(kind, params, labels, schema)
     if misfit:
         raise ParseError(misfit, 2, path)
     return FeatureModel(kind.stored, labels, schema, params)
 
 
-def _misfit(kind, params, labels, n_features) -> str | None:
+def _misfit(kind, params, labels, schema) -> str | None:
     """What in a loaded model's params does not fit its labels and schema, or None."""
     if not labels or not all(isinstance(lbl, str) for lbl in labels):
         return "model labels must be one or more strings"
+    if not all(type(name) is str and type(key) is str for name, key in schema):
+        return "model schema entries must be two strings"
     # the windowing _feature_windowing reads, when the model was stamped with it
     w, fs = params.get("window_size"), params.get("sample_rate_hz")
     if w is not None and (type(w) is not int or w < 2):
         return f"param window_size must be an integer >= 2, got {w!r}"
     if fs is not None and (type(fs) not in (int, float) or not 0.0 < fs < math.inf):
         return f"param sample_rate_hz must be a positive finite number, got {fs!r}"
-    sizes = {"F": n_features, "L": len(labels)}
+    sizes = {"F": len(schema), "L": len(labels)}
     for key, dims in kind.array_params:
         shape = params[key].shape
         want = "x".join(str(sizes.get(d, d)) for d in dims)
@@ -562,10 +569,10 @@ class ModelKind:
 
     train(pairs, layout, window_size, seed, k, channels) fits (label, payload)
     pairs read from the given channels (None: not recorded);
-    predict(model, payload) returns (label, score or None); windowing(model,
-    W, fs) gives the window size, sample rate, bin layout and channels (None:
-    those --sensors selects) a stored model reads recordings with, the W and
-    fs arguments filling what it lacks.
+    predict(model, payload) returns (label, score or None); windowing(model)
+    gives the window size, sample rate, bin layout (None for a feature model)
+    and channels (None: every one, for a DFAM v1 model) a trained model reads
+    recordings with.
     """
 
     name: str  # --model spelling
@@ -594,14 +601,12 @@ def _feature_predict(model, vector):
     return predict(model, vector), None
 
 
-def _feature_windowing(model, window_size, sample_rate_hz):
-    params = model.params
-    return (
-        params.get("window_size") or window_size,
-        params.get("sample_rate_hz", sample_rate_hz),
-        None,
-        None,
-    )
+def _feature_windowing(model):
+    w, fs = model.params.get("window_size"), model.params.get("sample_rate_hz")
+    if w is None or fs is None or not model.channels:
+        raise ConfigError("feature model records no window size, sample rate or channel;"
+                          " re-train it")
+    return w, fs, None, model.channels
 
 
 def _baseline(name, stored, fit, decide, array_params=(), misfit=None, k=None) -> ModelKind:
@@ -630,7 +635,7 @@ MODEL_KINDS = (
         ),
         _dfam_predict,
         dfam.save_model,
-        lambda m, w, fs: (m.window_size, m.layout.sample_rate_hz, m.layout, m.channels),
+        lambda m: (m.window_size, m.layout.sample_rate_hz, m.layout, m.channels),
     ),
     _baseline(
         "nb", "naive_bayes", lambda d, seed, k: train_nb(d),

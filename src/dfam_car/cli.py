@@ -97,11 +97,15 @@ def cmd_gen(args) -> int:
 
 
 def _load_corpus(args, sensors):
-    """The corpus's recordings at the --placement subset; every one without it."""
+    """The corpus's recordings at the --placement subset, of which there must
+    be one; every one without it."""
     keep = (None if args.placement is None
             else _subset(args.placement, synth.PLACEMENTS, "placement"))
     recordings = pipeline.load_corpus(args.corpus, args.fs, sensors)
-    return recordings if keep is None else [r for r in recordings if r.placement in keep]
+    kept = [r for r in recordings if keep is None or r.placement in keep]
+    if keep and not kept:
+        raise ConfigError(f"{args.corpus} holds no recording at the placements {','.join(keep)}")
+    return kept
 
 
 def cmd_train(args) -> int:
@@ -127,8 +131,7 @@ def cmd_train(args) -> int:
 def _warn_unchecked_channels(named_models) -> None:
     """One stderr line naming the DFAM v1 models among (path, model) pairs:
     those files record no channels, so nothing checks the ones they are fed."""
-    v1 = [path for path, model in named_models
-          if isinstance(model, DfamModel) and model.channels is None]
+    v1 = [path for path, model in named_models if model.channels is None]
     if v1:
         print(f"warning: {', '.join(v1)}: DFAM v1 model files record no channels;"
               " the channels they are applied to are not checked", file=sys.stderr)
@@ -137,19 +140,12 @@ def _warn_unchecked_channels(named_models) -> None:
 def cmd_classify(args) -> int:
     model = pipeline.load_any_model(args.model_file)
     kind = classifiers.kind_of(model)
-    sensors = _subset(args.sensors, SENSORS, "sensor")
-    series = read_recording(args.recording, args.fs, sensors)
-    window_size, fs, layout, channels = kind.windowing(model, args.W, args.fs)
-    if args.W not in (None, window_size):
-        raise ConfigError(f"--W {args.W} differs from the model's window size {window_size}")
-    if fs != args.fs:
-        raise ConfigError(f"--fs {args.fs} differs from the model's sample rate {fs}")
-    if window_size is None:
-        raise ConfigError("feature model file carries no window size; pass --W")
-    if channels is not None:
-        series = pipeline.model_series(series, channels)
+    window_size, fs, layout, channels = kind.windowing(model)
+    series = read_recording(args.recording, fs)
+    with pipeline.naming(args.recording):
+        bundles = pipeline.prepare_bundles(pipeline.model_series(series, channels), window_size,
+                                           args.cutoff)
     _warn_unchecked_channels([(args.model_file, model)])
-    bundles = pipeline.prepare_bundles(series, int(window_size), args.cutoff)
     rows = []
     for bundle in bundles:
         label, score = kind.predict(model, pipeline.window_payload(kind, bundle, fs, layout))
@@ -257,12 +253,7 @@ def cmd_replay(args) -> int:
     s3_model = pipeline.load_any_model(args.s3_model)
     if not isinstance(s1_model, DfamModel) or not isinstance(s3_model, DfamModel):
         raise ConfigError("replay requires DFAM model files for S1 and S3")
-    if args.fs != s3_model.layout.sample_rate_hz:  # S1's is checked against S3's
-        raise ConfigError(
-            f"--fs {args.fs} differs from the models' sample rate {s3_model.layout.sample_rate_hz}"
-        )
-    sensors = _subset(args.sensors, SENSORS, "sensor")
-    series = read_recording(args.recording, args.fs, sensors)
+    series = read_recording(args.recording, s3_model.layout.sample_rate_hz)  # S1's is checked
 
     def context(n_windows: int) -> dict[int, bool]:
         flags = _read_context(args.context) if args.context else {}
@@ -271,7 +262,8 @@ def cmd_replay(args) -> int:
                               f" window; the recording has {n_windows} windows")
         return flags
 
-    replayed = pipeline.replay(series, s1_model, s3_model, args.reset, context, args.cutoff)
+    with pipeline.naming(args.recording):
+        replayed = pipeline.replay(series, s1_model, s3_model, args.reset, context, args.cutoff)
     _warn_unchecked_channels([(args.s1_model, s1_model), (args.s3_model, s3_model)])
     states, events = zip(*replayed)  # a recording has at least one window
     events = [event for event in events if event is not None]
@@ -362,9 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="label a recording window by window")
     p.add_argument("--model-file", required=True)
     p.add_argument("--recording", required=True)
-    p.add_argument("--W", type=int, default=None, help="window size; a DFAM model's must match")
     p.add_argument("--out", required=True)
-    _add_common(p, "fs", "cutoff", "sensors")
+    _add_common(p, "cutoff")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("evaluate", help="run a protocol over a (model, W, g) grid")
@@ -388,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s3-model", required=True)
     p.add_argument("--reset", type=int, default=DEFAULT_RESET_PERIOD)
     p.add_argument("--out", required=True)
-    _add_common(p, "fs", "cutoff", "sensors")
+    _add_common(p, "cutoff")
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("bench", help="measure per-window classification latency")

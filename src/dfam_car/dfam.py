@@ -17,7 +17,7 @@ from typing import ClassVar, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, ParseError, TrainingError
-from .signals import Channel, Spectrum, all_channels, read_utf8
+from .signals import CHANNEL_BY_KEY, Channel, Spectrum, read_utf8
 
 LOCOMOTION = ("standing", "walking", "climbing_stairs", "descending_stairs", "sitting", "running")
 DISTRACTION = ("using_smartphone", "reading", "eating", "drinking")
@@ -326,9 +326,6 @@ def train_from_signatures(
     return DfamModel(layout, window_size, tuple(kept), channels)
 
 
-_CHANNEL_BY_KEY = {ch.key: ch for ch in all_channels()}
-
-
 def dumps_model(model: DfamModel) -> str:
     """Line-oriented text form; round-trips losslessly.
 
@@ -374,7 +371,7 @@ def loads_model(text: str, path=None) -> DfamModel:
         bounds = tuple(float(b) for b in fields["bounds"].split(",")) if fields["bounds"] else ()
         channels = None
         if header[1] == "v2":
-            channels = tuple(_CHANNEL_BY_KEY[key] for key in fields["channels"].split(","))
+            channels = tuple(CHANNEL_BY_KEY[key] for key in fields["channels"].split(","))
     except (KeyError, ValueError):
         raise bad_header from None
     if window_size < 2 or window_size & (window_size - 1):

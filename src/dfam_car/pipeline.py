@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import classifiers, dfam
 from .dfam import ActivityLabel, BinLayout
-from .errors import AlignmentError, ConfigError, DataQualityError, ParseError
+from .errors import AlignmentError, ConfigError, DataQualityError, NotEnoughDataError, ParseError
 from .evaluate import Instance
 from .features import extract_features
 from .hierarchy import (
@@ -82,23 +83,33 @@ def corpus_channels(
 ) -> tuple[Channel, ...]:
     """The channels instances_for windows, in canonical order; the recordings
     must all have the same ones."""
-    found = {tuple(sorted(ch for ch in rec.series if ch.device in devices))
-             for rec in recordings}
-    if len(found) > 1:
-        raise AlignmentError("recordings carry different channels")
-    return found.pop() if found else ()
+    found = [tuple(sorted(ch for ch in rec.series if ch.device in devices)) for rec in recordings]
+    for rec, channels in zip(recordings, found):
+        if channels != found[0]:
+            raise AlignmentError(f"{rec.recording_id}: its channels differ from those of"
+                                 f" {recordings[0].recording_id}")
+    return found[0] if found else ()
+
+
+@contextmanager
+def naming(recording):
+    """Prefix the recording's name to an error its samples raise inside."""
+    try:
+        yield
+    except (AlignmentError, DataQualityError, NotEnoughDataError) as exc:
+        raise type(exc)(f"{recording}: {exc}") from None
 
 
 def model_series(
-    series_by_channel: Mapping[Channel, TimeSeries], channels: Sequence[Channel]
+    series_by_channel: Mapping[Channel, TimeSeries], channels: Sequence[Channel] | None
 ) -> dict[Channel, TimeSeries]:
-    """The series of exactly the channels a model was trained on."""
+    """The series of exactly the channels a model reads; all of them for None
+    (a DFAM v1 model, which records no channels)."""
+    channels = sorted(series_by_channel) if channels is None else channels
     missing = [ch.key for ch in channels if ch not in series_by_channel]
     if missing:
-        raise ConfigError(
-            f"the model reads channels {','.join(missing)}, which the recording "
-            "lacks or --sensors leaves out"
-        )
+        raise AlignmentError(
+            f"the model reads channels {','.join(missing)}, which the recording lacks")
     return {ch: series_by_channel[ch] for ch in channels}
 
 
@@ -176,12 +187,10 @@ def instances_for(
     out = []
     for rec in recordings:
         fs = next(iter(rec.series.values())).sample_rate_hz
-        for bundle in prepare_bundles(rec.series, window_size, cutoff_hz, devices):
-            try:
+        with naming(rec.recording_id):
+            for bundle in prepare_bundles(rec.series, window_size, cutoff_hz, devices):
                 payload = window_payload(spec.kind, bundle, fs, layout)
-            except DataQualityError as exc:
-                raise DataQualityError(f"{rec.recording_id}: {exc}") from None
-            out.append(Instance(str(rec.label), payload, rec.participant_id, rec.recording_id))
+                out.append(Instance(str(rec.label), payload, rec.participant_id, rec.recording_id))
     return out
 
 
@@ -225,24 +234,22 @@ def replay(
     s3_model: dfam.DfamModel, reset_period: int,
     in_use: Callable[[int], Mapping[int, bool]], cutoff_hz: float,
 ) -> Iterator[tuple[str, DistractionEvent | None]]:
-    """Window one recording as the S3 model reads it, call in_use(n) with its
-    window count for each window index's smartphone-in-use flag (absent:
-    False), and check each model's channels against those it is fed: S1 the
-    ones it records (a v1 model, which records none: all), S3 all. The
-    iterator returned then drives the S1/S2/S3 machine one window per step,
-    yielding the state the window was processed in and its event or None."""
-    bundles = prepare_bundles(series_by_channel, s3_model.window_size, cutoff_hz)
+    """Window the channels the S3 model reads (a v1 model, which records
+    none: all), call in_use(n) with the window count for each window index's
+    smartphone-in-use flag (absent: False), and check that the S1 model reads
+    none but those channels (a v1 model reads them all). The iterator
+    returned then drives the S1/S2/S3 machine one window per step, yielding
+    the state the window was processed in and its event or None."""
+    bundles = prepare_bundles(model_series(series_by_channel, s3_model.channels),
+                              s3_model.window_size, cutoff_hz)
     flags = in_use(len(bundles))
     channels = sorted(bundles[0])
+    if not set(s1_model.channels or ()) <= set(channels):
+        raise ConfigError(
+            f"the S1 model reads channels {','.join(ch.key for ch in s1_model.channels)};"
+            f" replay windows only the S3 model's {','.join(ch.key for ch in channels)}")
     s1_axes = None if s1_model.channels is None else [
         i for i, ch in enumerate(channels) if ch in s1_model.channels]
-    s1_channels = channels if s1_axes is None else [channels[i] for i in s1_axes]
-    for state, model, fed in (("S1", s1_model, s1_channels), ("S3", s3_model, channels)):
-        if model.channels is not None and list(model.channels) != fed:
-            raise ConfigError(
-                f"the {state} model reads channels {','.join(ch.key for ch in model.channels)}"
-                f" but replay feeds it {','.join(ch.key for ch in fed)}"
-            )
     machine = HierarchicalCar(s1_model, s3_model, reset_period, s1_axes)
     fs = s3_model.layout.sample_rate_hz
     return ((machine.state.state, machine.process(bundle_spectra(bundle, fs), flags.get(i, False)))

@@ -49,6 +49,9 @@ def all_channels(sensors: Sequence[str] = SENSORS) -> tuple[Channel, ...]:
     )
 
 
+CHANNEL_BY_KEY = {ch.key: ch for ch in all_channels()}
+
+
 def _readonly(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dfam_car import classifiers
+from dfam_car import classifiers, pipeline
 from dfam_car.classifiers import (
     FeatureDataset,
     dumps_feature_model,
@@ -25,8 +26,11 @@ from dfam_car.classifiers import (
     _presort,
     _search_splits,
 )
+from dfam_car.dfam import ActivityLabel, BinLayout
 from dfam_car.errors import ConfigError, ParseError, TrainingError
 from dfam_car.features import FeatureVector
+from dfam_car.signals import DEVICES, SENSORS
+from dfam_car.synth import make_corpus
 
 
 def make_schema(n):
@@ -661,6 +665,8 @@ def _misfits():
         (_refit(svm, sample_rate_hz=0.0), "param sample_rate_hz"),
         (_refit(svm, sample_rate_hz="50"), "param sample_rate_hz"),
         (_refit(rf, trees=[{"leaf": "class0"}, [1]]), "tree nodes"),
+        (_refit(nb, schema=[["f", "c0"], ["f", ["x"]], ["f", "c2"]]), "schema entries"),
+        (_refit(nb, schema=[["f", "c0"], [0, "c1"], ["f", "c2"]]), "schema entries"),
     ]
 
 
@@ -671,6 +677,27 @@ def test_loads_feature_model_rejects_misfit_params():
         assert e.value.line == 2
         assert str(e.value).startswith("m.model: line 2: ")
         assert message in str(e.value)
+
+
+@pytest.mark.parametrize("sensors", [("acc",), ("gyr",), SENSORS], ids=["acc", "gyr", "acc+gyr"])
+@pytest.mark.parametrize("devices", [("phone",), ("watch",), DEVICES],
+                         ids=["phone", "watch", "phone+watch"])
+def test_a_feature_model_reads_the_channels_it_was_trained_on(devices, sensors):
+    """The channels a feature model derives from its schema are those its
+    training windowed, for every subset of devices and sensors."""
+    activities = tuple(ActivityLabel.parse(t) for t in ("standing", "walking"))
+    recordings = [dataclasses.replace(rec, series={
+        ch: s for ch, s in rec.series.items() if ch.sensor in sensors})
+        for rec in make_corpus(participants=1, activities=activities, duration_s=3.0)]
+    spec = pipeline.ModelSpec.parse("nb")
+    layout = BinLayout.equal_width(3, 50.0)
+    instances = pipeline.instances_for(spec, recordings, 64, layout, devices=devices)
+    channels = pipeline.corpus_channels(recordings, devices)
+    assert len(channels) == 3 * len(devices) * len(sensors)
+    model = pipeline.trainer_for(spec, layout, 64, 0, channels)[0](instances)
+    assert model.channels == channels
+    assert spec.kind.windowing(model) == (64, 50.0, None, channels)
+    assert loads_feature_model(dumps_feature_model(model)).channels == channels
 
 
 def test_one_nn_self_test_accuracy():

@@ -10,11 +10,12 @@ import pytest
 from conftest import rfft_spectrum
 from dfam_car import bench as bench_mod
 from dfam_car import classifiers, dfam, pipeline
-from dfam_car.cli import REPORT_COLUMNS, _read_context, main
+from dfam_car.cli import REPORT_COLUMNS, _read_context, build_parser, main
 from dfam_car.dfam import classify, extract_signature, load_model
 from dfam_car.errors import ParseError
+from dfam_car.hierarchy import DEFAULT_RESET_PERIOD, write_events_jsonl
 from dfam_car.pipeline import ModelSpec, bundle_spectra, prepare_bundles
-from dfam_car.signals import read_recording
+from dfam_car.signals import DEFAULT_CUTOFF_HZ, read_recording
 
 
 def csv_dicts(path):
@@ -164,7 +165,7 @@ def test_train_rejects_nonstandard_w(tmp_path, corpus, capsys):
     assert "allow-any-w" in capsys.readouterr().err
 
 
-def test_classify_recording(tmp_path, corpus, capsys):
+def test_classify_recording(tmp_path, corpus):
     model_path = tmp_path / "m.dfam"
     main(
         ["train", "--corpus", str(corpus), "--model", "dfam", "--W", "64",
@@ -178,49 +179,52 @@ def test_classify_recording(tmp_path, corpus, capsys):
     )
     assert rc == 0
     rows = csv_dicts(out)
-    assert len(rows) == 500 // 64
-    # a DFAM model windows recordings at its own W; another --W is an error
-    argv = ["classify", "--model-file", str(model_path), "--recording", str(recording),
-            "--out", str(tmp_path / "other.csv")]
-    assert main(argv + ["--W", "64"]) == 0
-    assert main(argv + ["--W", "128"]) == 1
-    assert "window size 64" in capsys.readouterr().err
+    assert len(rows) == 500 // 64  # at the model's own W
     truth = recording.name.split("_", 1)[1].rsplit("_", 1)[0]
     correct = sum(1 for r in rows if r["label"] == truth)
     assert correct >= len(rows) // 2  # model saw this recording during training
 
 
 def test_classify_windows_at_a_baseline_model_s_own_size(tmp_path, corpus, capsys):
-    """A baseline model's stamped W beats --W, as a DFAM model's does; --W
-    gives the W only to a feature file without a stamp."""
+    """A baseline model windows recordings at the W it records, as a DFAM
+    model does; a feature file without that stamp, without the sample
+    rate's, or whose schema names no channel, must be re-trained."""
     model = tmp_path / "knn3.model"
     assert main(["train", "--corpus", str(corpus), "--model", "knn3", "--W", "64",
                  "--out", str(model)]) == 0
     out = tmp_path / "labels.csv"
     argv = ["classify", "--recording", str(corpus / "p00_walking_RR.csv"), "--out", str(out)]
-    capsys.readouterr()
-    assert main(argv + ["--model-file", str(model), "--W", "128"]) == 1
-    assert capsys.readouterr().err == "error: --W 128 differs from the model's window size 64\n"
-    assert not out.exists()
+    assert main(argv + ["--model-file", str(model)]) == 0
+    assert len(csv_dicts(out)) == 500 // 64
+    out.unlink()
     stamped = classifiers.load_feature_model(model)
-    unstamped = tmp_path / "unstamped.model"
-    params = {k: v for k, v in stamped.params.items() if k != "window_size"}
-    classifiers.save_feature_model(dataclasses.replace(stamped, params=params), unstamped)
-    assert main(argv + ["--model-file", str(unstamped)]) == 1
-    assert capsys.readouterr().err == "error: feature model file carries no window size; pass --W\n"
-    assert main(argv + ["--model-file", str(unstamped), "--W", "128"]) == 0
-    assert len(csv_dicts(out)) == 500 // 128
+    for lacking in ("window_size", "sample_rate_hz", "channels"):
+        params = {k: v for k, v in stamped.params.items() if k != lacking}
+        schema = stamped.schema
+        if lacking == "channels":  # no schema key names a channel
+            schema = tuple((name, "c") for name, _ in schema)
+        unstamped = tmp_path / f"no_{lacking}.model"
+        classifiers.save_feature_model(
+            dataclasses.replace(stamped, params=params, schema=schema), unstamped)
+        assert set(classifiers.load_feature_model(unstamped).params) == set(params)  # it loads
+        capsys.readouterr()
+        assert main(argv + ["--model-file", str(unstamped)]) == 1
+        assert capsys.readouterr().err == ("error: feature model records no window size,"
+                                           " sample rate or channel; re-train it\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 def test_placement_names_known_placements(tmp_path, corpus, capsys, command):
-    """--placement is a non-empty subset of synth.PLACEMENTS; without it every
-    recording is kept, whatever placement labels.csv gives it."""
+    """--placement is a non-empty subset of synth.PLACEMENTS that keeps a
+    recording; without it every recording is kept, whatever placement
+    labels.csv gives it."""
     out = tmp_path / "out"
     argv = [command, "--corpus", str(corpus), "--W", "128", "--out", str(out)]
     for value, message in (("XX", "unknown placement 'XX', expected subset of "
                                   "('RR', 'LL', 'RL', 'LR')"),
-                           (",", "placement set must not be empty")):
+                           (",", "placement set must not be empty"),
+                           ("LR,RL", f"{corpus} holds no recording at the placements RL,LR")):
         capsys.readouterr()
         assert main(argv + ["--placement", value]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -422,31 +426,40 @@ def test_replay_rejects_models_that_window_apart(tmp_path, corpus, capsys):
     assert not out.exists()
 
 
-def test_classify_and_replay_reject_another_sample_rate(tmp_path, corpus, capsys):
-    s1, s3 = tmp_path / "s1.dfam", tmp_path / "s3.dfam"
-    train = ["train", "--corpus", str(corpus), "--model", "dfam", "--W", "64"]
-    assert main(train + ["--relabel", "moving", "--out", str(s1)]) == 0
-    assert main(train + ["--relabel", "distracted", "--out", str(s3)]) == 0
+def test_classify_and_replay_read_at_the_model_s_sample_rate(tmp_path, capsys):
+    """Models trained at --fs 100 read a recording at 100 Hz with no flag."""
+    corpus = tmp_path / "corpus"
+    assert main(["gen", "--out", str(corpus), "--participants", "1", "--duration", "10",
+                 "--fs", "100"]) == 0
+    train = ["train", "--corpus", str(corpus), "--fs", "100", "--W", "64"]
+    paths = {name: tmp_path / name for name in ("s1", "s3", "knn3")}
+    assert main(train + ["--relabel", "moving", "--out", str(paths["s1"])]) == 0
+    assert main(train + ["--relabel", "distracted", "--out", str(paths["s3"])]) == 0
+    assert main(train + ["--model", "knn3", "--out", str(paths["knn3"])]) == 0
     recording = next(p for p in sorted(corpus.iterdir()) if "walking+eating" in p.name)
-    labels, events = tmp_path / "labels.csv", tmp_path / "events.jsonl"
-    classify = ["classify", "--model-file", str(s3), "--recording", str(recording),
-                "--out", str(labels)]
-    replay = ["replay", "--recording", str(recording), "--s1-model", str(s1),
-              "--s3-model", str(s3), "--out", str(events)]
-    assert main(classify + ["--fs", "50"]) == 0
-    assert main(replay + ["--fs", "50"]) == 0
-    labels.unlink()
-    events.unlink()
+    bundles = prepare_bundles(read_recording(recording, 100.0), 64)
+    assert len(bundles) == 1000 // 64
+    labels = tmp_path / "labels.csv"
+    for name in ("s3", "knn3"):
+        model = pipeline.load_any_model(paths[name])
+        kind = classifiers.kind_of(model)
+        layout = model.layout if kind.signature else None
+        expected = [kind.predict(model, pipeline.window_payload(kind, b, 100.0, layout))[0]
+                    for b in bundles]
+        assert main(["classify", "--model-file", str(paths[name]), "--recording", str(recording),
+                     "--out", str(labels)]) == 0
+        assert [row["label"] for row in csv_dicts(labels)] == expected
+    s1, s3 = (pipeline.load_any_model(paths[name]) for name in ("s1", "s3"))
+    steps = list(pipeline.replay(read_recording(recording, 100.0), s1, s3, DEFAULT_RESET_PERIOD,
+                                 lambda n: {}, DEFAULT_CUTOFF_HZ))
+    expected = tmp_path / "expected.jsonl"
+    write_events_jsonl([event for _, event in steps if event is not None], expected)
+    events = tmp_path / "events.jsonl"
     capsys.readouterr()
-    assert main(classify + ["--fs", "40"]) == 1
-    assert capsys.readouterr().err == (
-        "error: --fs 40.0 differs from the model's sample rate 50.0\n"
-    )
-    assert main(replay + ["--fs", "40"]) == 1
-    assert capsys.readouterr().err == (
-        "error: --fs 40.0 differs from the models' sample rate 50.0\n"
-    )
-    assert not labels.exists() and not events.exists()
+    assert main(["replay", "--recording", str(recording), "--s1-model", str(paths["s1"]),
+                 "--s3-model", str(paths["s3"]), "--out", str(events)]) == 0
+    assert capsys.readouterr().out.startswith(f"replayed {len(bundles)} windows: ")
+    assert events.read_bytes() == expected.read_bytes() != b""
 
 
 @pytest.mark.parametrize(
@@ -471,7 +484,7 @@ def test_replay_context_bad_row(tmp_path, row):
         ("svm", "MODEL v1 kind=svm"),
     ],
 )
-def test_model_kinds_train_and_classify(tmp_path, corpus, capsys, spec, header):
+def test_model_kinds_train_and_classify(tmp_path, corpus, spec, header):
     assert str(ModelSpec.parse(spec)) == spec
     model = tmp_path / "m"
     rc = main(["train", "--corpus", str(corpus), "--model", spec, "--W", "128",
@@ -483,13 +496,33 @@ def test_model_kinds_train_and_classify(tmp_path, corpus, capsys, spec, header):
     rc = main(["classify", "--model-file", str(model), "--recording", str(recording),
                "--out", str(out)])
     assert rc == 0
-    assert len(csv_dicts(out)) == 500 // 128
-    # every model windows recordings at its own W; another --W is an error
-    capsys.readouterr()
-    rc = main(["classify", "--model-file", str(model), "--recording", str(recording),
-               "--W", "64", "--out", str(out)])
-    assert rc == 1
-    assert capsys.readouterr().err == "error: --W 64 differs from the model's window size 128\n"
+    assert len(csv_dicts(out)) == 500 // 128  # every model windows at its own W
+
+
+@pytest.mark.parametrize("subset", [("--devices", "phone"), ("--devices", "watch"),
+                                    ("--sensors", "acc")], ids=["phone", "watch", "acc"])
+@pytest.mark.parametrize("spec", ["dfam", "nb", "knn3", "rf"])
+def test_a_model_on_a_channel_subset_classifies_a_full_recording(tmp_path, corpus, spec, subset):
+    """Every kind reads the channels it was trained on from a recording of
+    all twelve, with no flag: the labels of its windows of exactly those."""
+    flag, value = subset
+    path = tmp_path / "model"
+    assert main(["train", "--corpus", str(corpus), "--model", spec, flag, value,
+                 "--out", str(path)]) == 0
+    recording = corpus / "p00_walking_RR.csv"
+    series = read_recording(recording)
+    assert len(series) == 12
+    kept = {ch: s for ch, s in series.items()
+            if (ch.device if flag == "--devices" else ch.sensor) == value}
+    model = pipeline.load_any_model(path)
+    kind = classifiers.kind_of(model)
+    layout = model.layout if kind.signature else None
+    expected = [kind.predict(model, pipeline.window_payload(kind, b, 50.0, layout))[0]
+                for b in prepare_bundles(kept, 128)]
+    out = tmp_path / "labels.csv"
+    assert main(["classify", "--model-file", str(path), "--recording", str(recording),
+                 "--out", str(out)]) == 0
+    assert [row["label"] for row in csv_dicts(out)] == expected
 
 
 def test_bench_smoke(tmp_path):
@@ -599,32 +632,92 @@ def hierarchy_models(tmp_path_factory, corpus):
     return out / "s1.dfam", out / "s3.dfam"
 
 
+def two_recordings(root, corpus, keep):
+    """Copy the corpus's first two recordings into root as a corpus whose
+    first recording holds only the rows keep(rows) yields. Returns their ids
+    and the path of that first recording."""
+    labels = (corpus / "labels.csv").read_text(encoding="utf-8").splitlines()[:3]
+    ids = [line.split(",")[0] for line in labels[1:]]
+    (root / "labels.csv").write_text("\n".join(labels) + "\n", encoding="utf-8")
+    for rec_id in ids:
+        (root / f"{rec_id}.csv").write_bytes((corpus / f"{rec_id}.csv").read_bytes())
+    bad = root / f"{ids[0]}.csv"
+    header, *rows = bad.read_text(encoding="utf-8").splitlines(keepends=True)
+    bad.write_text(header + "".join(keep(rows)), encoding="utf-8")
+    return ids, bad
+
+
 @pytest.mark.parametrize("sensors", ["acc,gyr", "acc"])
 @pytest.mark.parametrize("command", ["train", "evaluate", "classify", "replay"])
 def test_recording_without_samples_is_a_parse_error(tmp_path, corpus, hierarchy_models, capsys,
                                                     command, sensors):
     """A recording with a header and no rows, or with rows only for a sensor
-    that --sensors leaves out, names its file."""
-    labels = (corpus / "labels.csv").read_text(encoding="utf-8").splitlines()[:3]
-    ids = [line.split(",")[0] for line in labels[1:]]
-    (tmp_path / "labels.csv").write_text("\n".join(labels) + "\n", encoding="utf-8")
-    for rec_id in ids:
-        (tmp_path / f"{rec_id}.csv").write_bytes((corpus / f"{rec_id}.csv").read_bytes())
-    bad = tmp_path / f"{ids[0]}.csv"
-    header, *rows = bad.read_text(encoding="utf-8").splitlines(keepends=True)
-    bad.write_text(header + "".join(r for r in rows if sensors == "acc" and ",gyr," in r),
-                   encoding="utf-8")
+    that --sensors leaves out, names its file. classify and replay read every
+    sensor, so rows of the gyroscope alone lack their models' accelerometer
+    channels, and the error names the file too."""
+    _, bad = two_recordings(tmp_path, corpus,
+                            lambda rows: (r for r in rows if sensors == "acc" and ",gyr," in r))
     out = tmp_path / "out"
     s1, s3 = hierarchy_models
     argv = {
-        "train": ["train", "--corpus", str(tmp_path)],
-        "evaluate": ["evaluate", "--corpus", str(tmp_path), "--k", "2"],
+        "train": ["train", "--corpus", str(tmp_path), "--sensors", sensors],
+        "evaluate": ["evaluate", "--corpus", str(tmp_path), "--k", "2", "--sensors", sensors],
         "classify": ["classify", "--model-file", str(s3), "--recording", str(bad)],
         "replay": ["replay", "--s1-model", str(s1), "--s3-model", str(s3), "--recording", str(bad)],
     }[command]
+    message = f"no sample rows for the sensors {sensors}"
+    if command in ("classify", "replay") and sensors == "acc":
+        message = ("the model reads channels phone_acc_x,phone_acc_y,phone_acc_z,watch_acc_x,"
+                   "watch_acc_y,watch_acc_z, which the recording lacks")
     capsys.readouterr()
-    assert main(argv + ["--sensors", sensors, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {bad}: no sample rows for the sensors {sensors}\n"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not out.exists()
+
+
+def _kept_rows(rows, case):
+    """The rows of a recording that each windowing fault keeps."""
+    if case == "short":  # five samples of each stream
+        seen = {}
+        for row in rows:
+            key = tuple(row.split(",")[1:3])
+            seen[key] = seen.get(key, 0) + 1
+            if seen[key] <= 5:
+                yield row
+    elif case == "misaligned":  # the watch gyroscope stops after 200 samples
+        yield from [r for r in rows if ",watch,gyr," not in r] + [
+            r for r in rows if ",watch,gyr," in r][:200]
+    else:  # the phone alone
+        yield from (r for r in rows if ",phone," in r)
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "classify", "replay"])
+@pytest.mark.parametrize("case", ["short", "misaligned", "phone_only"])
+def test_windowing_errors_name_their_recording(tmp_path, corpus, hierarchy_models, capsys,
+                                               case, command):
+    """train and evaluate name a recording by its id, classify and replay by
+    its path."""
+    ids, bad = two_recordings(tmp_path, corpus, lambda rows: _kept_rows(rows, case))
+    s1, s3 = hierarchy_models  # W=64, as train and evaluate run here
+    argv = {
+        "train": ["train", "--corpus", str(tmp_path), "--W", "64"],
+        "evaluate": ["evaluate", "--corpus", str(tmp_path), "--k", "2", "--W", "64"],
+        "classify": ["classify", "--model-file", str(s3), "--recording", str(bad)],
+        "replay": ["replay", "--s1-model", str(s1), "--s3-model", str(s3), "--recording", str(bad)],
+    }[command]
+    name = ids[0] if command in ("train", "evaluate") else bad
+    message = {
+        "short": f"{name}: series of length 5 is shorter than one window of 64",
+        "misaligned": f"{name}: channels yield differing window counts: [3, 7]",
+        "phone_only": f"{ids[1]}: its channels differ from those of {ids[0]}",
+    }[case]
+    if case == "phone_only" and command in ("classify", "replay"):
+        message = (f"{bad}: the model reads channels watch_acc_x,watch_acc_y,watch_acc_z,"
+                   "watch_gyr_x,watch_gyr_y,watch_gyr_z, which the recording lacks")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -653,7 +746,7 @@ def test_replay_reports_the_first_of_two_faults_in_its_check_order(tmp_path, cor
     out = tmp_path / "events.jsonl"
     cases = [
         (misaligned, bad_context, s1, s3,
-         "error: channels yield differing window counts: [6, 7]\n"),
+         f"error: {misaligned}: channels yield differing window counts: [6, 7]\n"),
         (recording, past_context, s1, s3_acc,
          f"error: {past_context}: window_index 99 is past the last window;"
          " the recording has 7 windows\n"),
@@ -745,36 +838,48 @@ def test_evaluate_names_the_recording_of_overflowing_features(tmp_path, overflow
 
 
 def test_model_channels_guard_classify_and_replay(tmp_path, corpus, capsys):
-    s1, s3, s3_acc = tmp_path / "s1", tmp_path / "s3", tmp_path / "s3_acc"
+    paths = {name: tmp_path / name for name in ("s1", "s1_acc", "s3", "s3_acc")}
     base = ["train", "--corpus", str(corpus), "--model", "dfam"]
-    assert main(base + ["--devices", "phone", "--relabel", "moving", "--out", str(s1)]) == 0
-    assert main(base + ["--relabel", "distracted", "--out", str(s3)]) == 0
-    assert main(base + ["--sensors", "acc", "--relabel", "distracted", "--out", str(s3_acc)]) == 0
+    for name, extra in (("s1", ["--devices", "phone", "--relabel", "moving"]),
+                        ("s1_acc", ["--devices", "phone", "--sensors", "acc",
+                                    "--relabel", "moving"]),
+                        ("s3", ["--relabel", "distracted"]),
+                        ("s3_acc", ["--sensors", "acc", "--relabel", "distracted"])):
+        assert main(base + extra + ["--out", str(paths[name])]) == 0
+    s1 = paths["s1"]
     assert s1.read_text(encoding="utf-8").split("\n", 1)[0].endswith(
         " channels=phone_acc_x,phone_acc_y,phone_acc_z,phone_gyr_x,phone_gyr_y,phone_gyr_z"
     )
     recording = next(p for p in sorted(corpus.iterdir()) if p.name != "labels.csv")
     out = tmp_path / "labels.csv"
-    classify_args = ["classify", "--model-file", str(s1), "--recording", str(recording),
-                     "--out", str(out)]
-    # the model's six phone axes are windowed, not all twelve --sensors selects
-    assert main(classify_args) == 0
+    # the model's six phone axes are windowed, not all twelve the recording holds
+    assert main(["classify", "--model-file", str(s1), "--recording", str(recording),
+                 "--out", str(out)]) == 0
     model = load_model(s1)
     bundles = prepare_bundles(read_recording(recording), 128, devices=("phone",))
     expected = [classify(extract_signature(bundle_spectra(b, 50.0), model.layout), model).label
                 for b in bundles]
     assert [row["label"] for row in csv_dicts(out)] == expected
-    # --sensors acc leaves out the model's gyr channels
+    # a recording of the accelerometers alone lacks the model's gyr channels
+    header, *rows = recording.read_text(encoding="utf-8").splitlines(keepends=True)
+    acc_only = tmp_path / "acc_only.csv"
+    acc_only.write_text(header + "".join(r for r in rows if ",acc," in r), encoding="utf-8")
     capsys.readouterr()
-    assert main(classify_args + ["--sensors", "acc"]) == 1
-    assert "phone_gyr_x,phone_gyr_y,phone_gyr_z" in capsys.readouterr().err
-    replay = ["replay", "--recording", str(recording), "--s1-model", str(s1),
-              "--out", str(tmp_path / "events.jsonl")]
-    assert main(replay + ["--s3-model", str(s3)]) == 0  # S1 gets its model's six phone axes
-    assert main(replay + ["--s3-model", str(s3_acc)]) == 1
-    assert "S3 model reads channels" in capsys.readouterr().err
-    assert main(replay + ["--s3-model", str(s3_acc), "--sensors", "acc"]) == 1
-    assert "S1 model reads channels" in capsys.readouterr().err
+    assert main(["classify", "--model-file", str(s1), "--recording", str(acc_only),
+                 "--out", str(tmp_path / "other.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {acc_only}: the model reads channels phone_gyr_x,phone_gyr_y,phone_gyr_z,"
+        " which the recording lacks\n")
+    replay = ["replay", "--recording", str(recording), "--out", str(tmp_path / "events.jsonl")]
+    for s1_name, s3_name in (("s1", "s3"), ("s1_acc", "s3_acc")):  # S1 reads some of S3's
+        assert main(replay + ["--s1-model", str(paths[s1_name]),
+                              "--s3-model", str(paths[s3_name])]) == 0
+    capsys.readouterr()
+    assert main(replay + ["--s1-model", str(s1), "--s3-model", str(paths["s3_acc"])]) == 1
+    assert capsys.readouterr().err == (
+        "error: the S1 model reads channels phone_acc_x,phone_acc_y,phone_acc_z,phone_gyr_x,"
+        "phone_gyr_y,phone_gyr_z; replay windows only the S3 model's phone_acc_x,phone_acc_y,"
+        "phone_acc_z,watch_acc_x,watch_acc_y,watch_acc_z\n")
 
 
 def test_usage_errors_exit_2():
@@ -784,13 +889,40 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["train", "--corpus", "x"])  # missing --out
     assert e.value.code == 2
-    # each command declares only the options it reads
-    for argv in (["classify", "--model-file", "m", "--recording", "r", "--out", "o", "--seed", "1"],
-                 ["replay", "--recording", "r", "--s1-model", "a", "--s3-model", "b",
-                  "--out", "o", "--seed", "1"],
-                 ["replay", "--recording", "r", "--s1-model", "a", "--s3-model", "b",
-                  "--out", "o", "--s1-channels", "phone"],
-                 ["bench", "--sensors", "acc"]):
+    # each command declares only the options it reads; the model file gives
+    # classify and replay the window size, sample rate and channels
+    classify = ["classify", "--model-file", "m", "--recording", "r", "--out", "o"]
+    replay = ["replay", "--recording", "r", "--s1-model", "a", "--s3-model", "b", "--out", "o"]
+    for argv in (classify + ["--seed", "1"], classify + ["--W", "128"], classify + ["--fs", "50"],
+                 classify + ["--sensors", "acc"], replay + ["--seed", "1"],
+                 replay + ["--s1-channels", "phone"], replay + ["--fs", "50"],
+                 replay + ["--sensors", "acc"], ["bench", "--sensors", "acc"]):
         with pytest.raises(SystemExit) as e:
             main(argv)
         assert e.value.code == 2
+
+
+OPTIONS = {
+    "gen": ("--out", "--participants", "--duration", "--noise", "--jitter", "--placements",
+            "--fs", "--seed"),
+    "train": ("--corpus", "--model", "--W", "--g", "--placement", "--devices", "--relabel",
+              "--allow-any-w", "--out", "--fs", "--seed", "--cutoff", "--sensors"),
+    "classify": ("--model-file", "--recording", "--out", "--cutoff"),
+    "evaluate": ("--corpus", "--protocol", "--k", "--models --model", "--W", "--g",
+                 "--placement", "--allow-any-w", "--out", "--json", "--fs", "--seed", "--cutoff",
+                 "--sensors"),
+    "replay": ("--recording", "--context", "--s1-model", "--s3-model", "--reset", "--out",
+               "--cutoff"),
+    "bench": ("--models --model", "--train-size", "--windows", "--W", "--g", "--reps",
+              "--noise", "--allow-any-w", "--out", "--fs", "--seed", "--cutoff"),
+}
+
+
+def test_option_inventory():
+    """Every command's options, by their spellings: a change that adds or
+    removes one edits this list."""
+    (commands,) = (a for a in build_parser()._actions if a.choices)
+    found = {name: tuple(" ".join(a.option_strings) for a in p._actions if a.dest != "help")
+             for name, p in commands.choices.items()}
+    assert found == OPTIONS
+    assert sum(map(len, OPTIONS.values())) == 58

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import series
 from dfam_car import signals
-from dfam_car.classifiers import predict
+from dfam_car.classifiers import kind_of, predict
 from dfam_car.cli import _read_context, main
 from dfam_car.dfam import DfamModel, Signature, classify
 from dfam_car.errors import CarError, ParseError
@@ -202,6 +202,9 @@ def test_fuzz_read_context(scratch, data):
          b'"params": {"tree": {"feature": 1, "threshold": 0.5}}}\n')
 @example(data=b'MODEL v1 kind=random_forest\n{"labels": ["a"], "schema": [], '
          b'"params": {"trees": [{"leaf": "b"}]}}\n')
+# a schema key that is no string, in a model stamped with its windowing
+@example(data=b'MODEL v1 kind=decision_tree\n{"labels": ["a"], "schema": [["f", ["x"]]], '
+         b'"params": {"tree": {"leaf": "a"}, "window_size": 64, "sample_rate_hz": 50.0}}\n')
 def test_fuzz_load_any_model(scratch, data):
     path = scratch / "model"
     path.write_bytes(data)
@@ -209,13 +212,15 @@ def test_fuzz_load_any_model(scratch, data):
 
 
 def load_and_apply(path):
-    """Load a model file, then label an all-zero window with the model."""
+    """Load a model file, label an all-zero window with the model, then ask
+    it how it reads a recording."""
     model = load_any_model(path)
     if isinstance(model, DfamModel):
         label = classify(Signature(((0,) * model.layout.g,) * model.axes), model).label
     else:
         label = predict(model, FeatureVector(np.zeros(len(model.schema)), model.schema))
     assert label in model.labels
+    kind_of(model).windowing(model)
 
 
 @pytest.mark.parametrize(

@@ -55,6 +55,10 @@ def outcome(run, *args):
         return type(exc).__name__, str(exc)
 
 
+def keys(channels):
+    return ",".join(ch.key for ch in channels)
+
+
 def only(series, sensors):
     """The series of the given sensors, as `--sensors` reads a recording."""
     return {ch: s for ch, s in series.items() if ch.sensor in sensors}
@@ -82,6 +86,8 @@ def models():
     return {
         "s1": train(recordings, pipeline.relabel_moving),
         "s1_phone": train(recordings, pipeline.relabel_moving, devices=("phone",)),
+        "s1_phone_acc": train(recordings, pipeline.relabel_moving, devices=("phone",),
+                              sensors=("acc",)),
         "s3": train(recordings, pipeline.relabel_distracted),
         "s3_acc": train(recordings, pipeline.relabel_distracted, sensors=("acc",)),
     }
@@ -117,30 +123,35 @@ def test_replay_matches_the_cli_loop(models, stream, s1_channels, with_flags, re
 
 
 def test_replay_checks_channels_as_the_cli_loop_did(models, stream):
+    """S3 windows the channels its model records, and S1 reads those its
+    model records among them: the CLI loop's result on a recording holding
+    S3's channels alone."""
     s1, s1_phone, s3, s3_acc = (models[k] for k in ("s1", "s1_phone", "s3", "s3_acc"))
     # S1 reads the channels its model records, whichever they are
     assert driven(stream, s1_phone, s3, 30, {}) == replay_oracle(
         stream, s1_phone, s3, 30, {}, "phone")
     assert driven(stream, s1, s3, 30, {}) == replay_oracle(stream, s1, s3, 30, {}, "all")
-    every = ",".join(ch.key for ch in s3.channels)
+    # an S3 model on a sensor subset is fed that subset of every recording
     acc = only(stream, ("acc",))
-    phone_acc = ",".join(ch.key for ch in sorted(acc) if ch.device == "phone")
-    cases = [  # S3 reads every channel; S1 can read no channel the recording lacks
-        (stream, s1_phone, s3_acc, "phone",
-         f"the S3 model reads channels {','.join(ch.key for ch in s3_acc.channels)}"
-         f" but replay feeds it {every}"),
-        (acc, s1_phone, s3_acc, "phone",
-         f"the S1 model reads channels {','.join(ch.key for ch in s1_phone.channels)}"
-         f" but replay feeds it {phone_acc}"),
+    assert driven(stream, models["s1_phone_acc"], s3_acc, 30, {}) == replay_oracle(
+        acc, models["s1_phone_acc"], s3_acc, 30, {}, "phone")
+    cases = [  # S1 reads no channel S3 does not; S3 none the recording lacks
+        (stream, s1_phone, s3_acc, "ConfigError",
+         f"the S1 model reads channels {keys(s1_phone.channels)};"
+         f" replay windows only the S3 model's {keys(s3_acc.channels)}"),
+        (acc, s1_phone, s3, "AlignmentError",
+         f"the model reads channels {keys(ch for ch in s3.channels if ch.sensor == 'gyr')},"
+         " which the recording lacks"),
     ]
-    for series, s1_model, s3_model, s1_channels, message in cases:
-        assert outcome(driven, series, s1_model, s3_model, 30, {}) == outcome(
-            replay_oracle, series, s1_model, s3_model, 30, {}, s1_channels) == (
-            "ConfigError", message)
-    # models that record no channels are not checked, and a v1 S1 model gets
-    # every channel: one trained on the phone alone fails when it classifies
+    for series, s1_model, s3_model, error, message in cases:
+        assert outcome(driven, series, s1_model, s3_model, 30, {}) == (error, message)
+    # models that record no channels are not checked: a v1 S3 model gets
+    # every channel, a v1 S1 model every channel S3 gets, and one trained on
+    # the phone alone then fails when it classifies
     unchecked = dataclasses.replace(s1, channels=None), dataclasses.replace(s3, channels=None)
     assert driven(stream, *unchecked, 30, {}) == replay_oracle(stream, *unchecked, 30, {}, "all")
+    assert driven(stream, s1_phone, unchecked[1], 30, {}) == replay_oracle(
+        stream, s1_phone, unchecked[1], 30, {}, "phone")
     v1_phone = dataclasses.replace(s1_phone, channels=None)
     assert outcome(driven, stream, v1_phone, s3, 30, {}) == outcome(
         replay_oracle, stream, v1_phone, s3, 30, {}, "all") == (
@@ -159,7 +170,7 @@ def test_replay_reads_the_context_with_the_window_count_then_checks_at_the_call(
         seen.append(n)
         return {}
 
-    with pytest.raises(ConfigError, match="the S3 model reads channels"):
+    with pytest.raises(ConfigError, match="the S1 model reads channels"):
         pipeline.replay(stream, models["s1_phone"], models["s3_acc"], 30, in_use,
                         DEFAULT_CUTOFF_HZ)  # raised without taking a step
     assert seen == [len(pipeline.prepare_bundles(stream, W))]
