@@ -7,6 +7,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import astuple, fields
 
 from . import bench as bench_mod
 from . import classifiers, evaluate, pipeline, synth
@@ -17,26 +18,11 @@ from .signals import DEFAULT_CUTOFF_HZ, DEVICES, SENSORS, csv_rows, read_recordi
 
 STANDARD_WINDOW_SIZES = (32, 64, 128, 256, 512)
 
-REPORT_COLUMNS = (
-    "protocol",
-    "model",
-    "W",
-    "g",
-    "sensors",
-    "seed",
-    "n",
-    "accuracy",
-    "precision_weighted",
-    "recall_weighted",
-    "f1_weighted",
-    "precision_micro",
-    "recall_micro",
-    "f1_micro",
-    "precision_macro",
-    "recall_macro",
-    "f1_macro",
-    "mean_participant_accuracy",
-)
+# <measure>_<average> for each average in evaluate.AVERAGES, measures in field order
+_AVERAGED_COLUMNS = tuple(f"{f.name}_{avg}" for avg in evaluate.AVERAGES
+                          for f in fields(evaluate.Averages))
+REPORT_COLUMNS = ("protocol", "model", "W", "g", "sensors", "seed", "n", "accuracy",
+                  *_AVERAGED_COLUMNS, "mean_participant_accuracy")
 
 
 def _comma_list(text: str) -> list[str]:
@@ -185,11 +171,8 @@ def _evaluate_cell(recordings, protocol, spec_text, w, g, sensors, cutoff, fs, s
         "accuracy": repr(report.accuracy),
         "mean_participant_accuracy": mean_participant,
     }
-    for method in ("weighted", "micro", "macro"):
-        avg = report.averages[method]
-        row[f"precision_{method}"] = repr(avg.precision)
-        row[f"recall_{method}"] = repr(avg.recall)
-        row[f"f1_{method}"] = repr(avg.f1)
+    values = (v for avg in evaluate.AVERAGES for v in astuple(report.averages[avg]))
+    row.update(zip(_AVERAGED_COLUMNS, map(repr, values), strict=True))
     return row, report
 
 

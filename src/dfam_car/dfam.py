@@ -92,11 +92,10 @@ class BinLayout:
         bounds = tuple(nyq * i / g for i in range(1, g))
         return cls(g, bounds, sample_rate_hz)
 
-    @functools.lru_cache(maxsize=256)
     def band_index_ranges(self, window_size: int) -> tuple[tuple[int, int], ...]:
         """Inclusive DFT index ranges per band; the DC bin is never included.
 
-        Cached per (layout, window size): every window of a run asks again.
+        Not cached: per-window callers go through _band_gather, which is.
         """
         nyq = self.sample_rate_hz / 2.0
         edges = (0.0,) + self.boundaries + (nyq,)
@@ -147,7 +146,7 @@ def _band_gather(layout: BinLayout, window_size: int) -> tuple[np.ndarray, np.nd
 
     A padding position repeats the value at the row's first position, so the
     first maximum of a row never lies in the padding. Cached per (layout,
-    window size), like band_index_ranges.
+    window size): every window of a run asks again.
     """
     ranges = layout.band_index_ranges(window_size)
     width = max(hi - lo for lo, hi in ranges) + 1

@@ -11,7 +11,7 @@ tests each group against a model trained on all the others.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -86,6 +86,9 @@ class ConfusionMatrix:
         return float(np.trace(self.counts) / self.total)
 
 
+AVERAGES = ("weighted", "micro", "macro")
+
+
 @dataclass(frozen=True)
 class ClassMetrics:
     precision: float
@@ -104,74 +107,58 @@ class Averages:
 @dataclass(frozen=True, eq=False)
 class EvaluationReport:
     confusion: ConfusionMatrix
-    accuracy: float
     per_class: dict[str, ClassMetrics]
     averages: dict[str, Averages]
+
+    @property
+    def accuracy(self) -> float:
+        return self.confusion.accuracy
 
     def to_dict(self) -> dict:
         return {
             "labels": list(self.confusion.labels),
             "confusion": self.confusion.counts.tolist(),
             "accuracy": self.accuracy,
-            "per_class": {
-                lbl: {"precision": m.precision, "recall": m.recall, "f1": m.f1, "support": m.support}
-                for lbl, m in self.per_class.items()
-            },
-            "averages": {
-                name: {"precision": a.precision, "recall": a.recall, "f1": a.f1}
-                for name, a in self.averages.items()
-            },
+            "per_class": {lbl: asdict(m) for lbl, m in self.per_class.items()},
+            "averages": {name: asdict(a) for name, a in self.averages.items()},
         }
 
 
-def _safe_div(num: float, den: float) -> float:
-    return float(num / den) if den > 0 else 0.0
+def _ratio(num, den):
+    """num / den elementwise, 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(np.shape(num)), where=den > 0)
 
 
-def _f1(p: float, r: float) -> float:
-    return 2.0 * p * r / (p + r) if (p + r) > 0 else 0.0
+def _f1(p, r):
+    return _ratio(2.0 * p * r, p + r)
 
 
 def metrics(confusion: ConfusionMatrix) -> EvaluationReport:
-    """Per-class precision/recall/F1 plus weighted, micro and macro averages.
+    """Per-class precision/recall/F1 plus the AVERAGES of each.
 
     Classes with a zero denominator contribute 0 and still count in the
-    macro denominator.
+    macro denominator. Micro precision and recall are the accuracy: both are
+    the diagonal's sum over the total, and integer counts sum exactly.
     """
     total = confusion.total
     if total < 1:
         raise ConfigError("cannot compute metrics for an empty confusion matrix")
     counts = confusion.counts
-    tp = np.diag(counts).astype(np.float64)
-    support = counts.sum(axis=1).astype(np.float64)
-    predicted = counts.sum(axis=0).astype(np.float64)
-    per_class = {}
-    precisions, recalls, f1s = [], [], []
-    for i, lbl in enumerate(confusion.labels):
-        p = _safe_div(tp[i], predicted[i])
-        r = _safe_div(tp[i], support[i])
-        f = _f1(p, r)
-        per_class[lbl] = ClassMetrics(p, r, f, int(support[i]))
-        precisions.append(p)
-        recalls.append(r)
-        f1s.append(f)
-    precisions = np.array(precisions)
-    recalls = np.array(recalls)
-    f1s = np.array(f1s)
+    tp = np.diag(counts)
+    support = counts.sum(axis=1)
+    precision = _ratio(tp, counts.sum(axis=0))
+    recall = _ratio(tp, support)
+    measures = (precision, recall, _f1(precision, recall))
+    per_class = dict(zip(confusion.labels,
+                         map(ClassMetrics, *(m.tolist() for m in measures), support.tolist())))
     weights = support / total
-    micro_tp = tp.sum()
-    micro_fp = predicted.sum() - micro_tp
-    micro_fn = support.sum() - micro_tp
-    micro_p = _safe_div(micro_tp, micro_tp + micro_fp)
-    micro_r = _safe_div(micro_tp, micro_tp + micro_fn)
-    averages = {
-        "weighted": Averages(
-            float(weights @ precisions), float(weights @ recalls), float(weights @ f1s)
-        ),
-        "micro": Averages(micro_p, micro_r, _f1(micro_p, micro_r)),
-        "macro": Averages(float(precisions.mean()), float(recalls.mean()), float(f1s.mean())),
-    }
-    return EvaluationReport(confusion, confusion.accuracy, per_class, averages)
+    acc = confusion.accuracy
+    averages = dict(zip(AVERAGES, (
+        Averages(*(float(weights @ m) for m in measures)),
+        Averages(acc, acc, float(_f1(acc, acc))),
+        Averages(*(float(m.mean()) for m in measures)),
+    )))
+    return EvaluationReport(confusion, per_class, averages)
 
 
 def _held_out(
@@ -254,13 +241,6 @@ class LosoReport:
     per_participant: dict[str, EvaluationReport]
     pooled: EvaluationReport
     mean_accuracy: float
-
-    def to_dict(self) -> dict:
-        return {
-            "per_participant": {p: r.to_dict() for p, r in self.per_participant.items()},
-            "pooled": self.pooled.to_dict(),
-            "mean_accuracy": self.mean_accuracy,
-        }
 
 
 def loso(

@@ -15,7 +15,7 @@ S3 model's classifications and are no measure of watch energy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .dfam import DfamModel, classify, extract_signature
@@ -55,15 +55,6 @@ class DistractionEvent:
     event_type: str
     label: str
     score: float
-
-    def to_dict(self) -> dict:
-        return {
-            "window_index": self.window_index,
-            "state": self.state,
-            "event_type": self.event_type,
-            "label": self.label,
-            "score": self.score,
-        }
 
 
 def _require_binary(model: DfamModel | None, expected: set[str], state: str) -> None:
@@ -151,4 +142,4 @@ class HierarchicalCar:
 def write_events_jsonl(events: Sequence[DistractionEvent], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for ev in events:
-            fh.write(json.dumps(ev.to_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(ev), sort_keys=True) + "\n")

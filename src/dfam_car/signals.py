@@ -172,8 +172,6 @@ def low_pass_filter(series: TimeSeries, cutoff_hz: float = DEFAULT_CUTOFF_HZ) ->
         raise ConfigError(
             f"cutoff must lie in (0, {series.sample_rate_hz / 2.0}) Hz, got {cutoff_hz}"
         )
-    if not np.all(np.isfinite(series.values)):
-        raise DataQualityError(f"non-finite sample in channel {series.channel.key}")
     b, a = _butter_low_pass(cutoff_hz, series.sample_rate_hz)
     filtered = _sps.lfilter(b, a, series.values)
     return TimeSeries(series.channel, series.sample_rate_hz, filtered)

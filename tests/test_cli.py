@@ -18,6 +18,15 @@ from dfam_car.pipeline import ModelSpec, bundle_spectra, prepare_bundles
 from dfam_car.signals import DEFAULT_CUTOFF_HZ, read_recording
 
 
+REPORT_HEADER = (
+    "protocol", "model", "W", "g", "sensors", "seed", "n", "accuracy",
+    "precision_weighted", "recall_weighted", "f1_weighted",
+    "precision_micro", "recall_micro", "f1_micro",
+    "precision_macro", "recall_macro", "f1_macro",
+    "mean_participant_accuracy",
+)
+
+
 def csv_dicts(path):
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))
@@ -165,6 +174,48 @@ def test_train_rejects_nonstandard_w(tmp_path, corpus, capsys):
     assert "allow-any-w" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "bench"])
+def test_nonstandard_w_is_rejected_before_any_work(tmp_path, corpus, capsys, monkeypatch,
+                                                   command):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("a corpus was read or built before W was checked")
+
+    monkeypatch.setattr(pipeline, "load_corpus", no_corpus)
+    monkeypatch.setattr(bench_mod, "make_corpus", no_corpus)
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--corpus", str(corpus), "--model", "nb"],
+            "evaluate": ["evaluate", "--corpus", str(corpus), "--models", "nb"],
+            "bench": ["bench", "--models", "nb"]}[command]
+    capsys.readouterr()
+    assert main(argv + ["--W", "100", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: W=100 is outside the standard set (32, 64, 128, 256, 512);"
+        " pass --allow-any-w to override\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_allow_any_w_admits_a_baseline_but_not_dfam(tmp_path, corpus, capsys):
+    """--allow-any-w lifts the standard-set gate: nb trains at W 100 and
+    classify windows at the W the model records; DFAM still needs a power
+    of two."""
+    model = tmp_path / "nb.model"
+    assert main(["train", "--corpus", str(corpus), "--model", "nb", "--W", "100",
+                 "--allow-any-w", "--out", str(model)]) == 0
+    assert classifiers.load_feature_model(model).params["window_size"] == 100
+    out = tmp_path / "labels.csv"
+    assert main(["classify", "--model-file", str(model), "--recording",
+                 str(corpus / "p00_walking_RR.csv"), "--out", str(out)]) == 0
+    assert len(csv_dicts(out)) == 500 // 100
+    for argv in (["train", "--corpus", str(corpus), "--model", "dfam"],
+                 ["evaluate", "--corpus", str(corpus), "--models", "dfam"],
+                 ["bench", "--models", "dfam", "--train-size", "30", "--windows", "4"]):
+        dfam_out = tmp_path / "dfam.out"
+        capsys.readouterr()
+        assert main(argv + ["--W", "100", "--allow-any-w", "--out", str(dfam_out)]) == 1
+        assert capsys.readouterr().err == "error: window length must be a power of two, got 100\n"
+        assert not dfam_out.exists()
+
+
 def test_classify_recording(tmp_path, corpus):
     model_path = tmp_path / "m.dfam"
     main(
@@ -278,9 +329,35 @@ def test_evaluate_kfold_cell_counts(tmp_path, corpus):
     assert all(0.0 <= cell["report"]["accuracy"] <= 1.0 for cell in payload)
     text = ("protocol", "model", "sensors", "mean_participant_accuracy")  # the last is loso-only
     for r in rows:
-        for c in REPORT_COLUMNS:
+        assert list(r) == list(REPORT_HEADER)
+        for c in REPORT_HEADER:
             if c not in text:
                 float(r[c])  # rejects text such as np.float64(0.5)
+
+
+def test_evaluate_report_format(tmp_path, corpus):
+    """The CSV header, written out; the JSON report's keys; the CSV's
+    averaged columns are the JSON's averages."""
+    assert REPORT_COLUMNS == REPORT_HEADER
+    out, json_out = tmp_path / "loso.csv", tmp_path / "loso.json"
+    assert main(["evaluate", "--corpus", str(corpus), "--protocol", "loso", "--models", "nb",
+                 "--W", "128", "--out", str(out), "--json", str(json_out)]) == 0
+    assert out.read_text(encoding="utf-8").split("\n")[0] == ",".join(REPORT_HEADER)
+    (row,) = csv_dicts(out)
+    (cell,) = json.loads(json_out.read_text(encoding="utf-8"))
+    assert set(cell) == {"cell", "report"} and cell["cell"] == row
+    report = cell["report"]
+    assert set(report) == {"labels", "confusion", "accuracy", "per_class", "averages"}
+    assert set(report["per_class"]) == set(report["labels"])
+    for entry in report["per_class"].values():
+        assert set(entry) == {"precision", "recall", "f1", "support"}
+    assert set(report["averages"]) == {"weighted", "micro", "macro"}
+    for name, entry in report["averages"].items():
+        assert set(entry) == {"precision", "recall", "f1"}
+        for measure, value in entry.items():
+            assert row[f"{measure}_{name}"] == repr(value)
+    assert row["accuracy"] == repr(report["accuracy"])
+    assert float(row["mean_participant_accuracy"]) >= 0.0
 
 
 def test_evaluate_deterministic(tmp_path, corpus):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dfam_car.errors import ConfigError
 from dfam_car.evaluate import (
+    AVERAGES,
     ConfusionMatrix,
     Instance,
     kfold,
@@ -241,6 +242,87 @@ def test_report_to_dict():
     assert d["labels"] == ["a", "b"]
     assert d["confusion"] == [[3, 1], [0, 4]]
     assert set(d["averages"]) == {"weighted", "micro", "macro"}
+    assert set(d) == {"labels", "confusion", "accuracy", "per_class", "averages"}
+    assert list(d["per_class"]) == ["a", "b"]
+    for entry in d["per_class"].values():
+        assert set(entry) == {"precision", "recall", "f1", "support"}
+    for entry in d["averages"].values():
+        assert set(entry) == {"precision", "recall", "f1"}
+    assert d["accuracy"] == 7 / 8
+    assert d["per_class"]["b"]["support"] == 4 and d["per_class"]["b"]["precision"] == 0.8
+
+
+def metrics_oracle(confusion):
+    """The per-class loop metrics once ran, kept as its oracle: (accuracy,
+    label -> (precision, recall, f1, support), average -> (precision,
+    recall, f1)), micro from its own tp/fp/fn sums."""
+
+    def safe_div(num, den):
+        return float(num / den) if den > 0 else 0.0
+
+    def f1(p, r):
+        return 2.0 * p * r / (p + r) if (p + r) > 0 else 0.0
+
+    counts = confusion.counts
+    total = confusion.total
+    tp = np.diag(counts).astype(np.float64)
+    support = counts.sum(axis=1).astype(np.float64)
+    predicted = counts.sum(axis=0).astype(np.float64)
+    per_class = {}
+    precisions, recalls, f1s = [], [], []
+    for i, lbl in enumerate(confusion.labels):
+        p = safe_div(tp[i], predicted[i])
+        r = safe_div(tp[i], support[i])
+        f = f1(p, r)
+        per_class[lbl] = (p, r, f, int(support[i]))
+        precisions.append(p)
+        recalls.append(r)
+        f1s.append(f)
+    precisions, recalls, f1s = np.array(precisions), np.array(recalls), np.array(f1s)
+    weights = support / total
+    micro_tp = tp.sum()
+    micro_p = safe_div(micro_tp, micro_tp + (predicted.sum() - micro_tp))
+    micro_r = safe_div(micro_tp, micro_tp + (support.sum() - micro_tp))
+    averages = {
+        "weighted": (float(weights @ precisions), float(weights @ recalls),
+                     float(weights @ f1s)),
+        "micro": (micro_p, micro_r, f1(micro_p, micro_r)),
+        "macro": (float(precisions.mean()), float(recalls.mean()), float(f1s.mean())),
+    }
+    return float(np.trace(counts) / total), per_class, averages
+
+
+def bits(values):
+    """Each value's type and exact bits: a float and np.float64 of equal
+    value differ here, as their repr in the report CSV does."""
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+
+@st.composite
+def confusion_matrices(draw):
+    """Non-empty confusion matrices with some rows (classes never true)
+    and columns (classes never predicted) wholly zero."""
+    n = draw(st.integers(1, 7))
+    counts = np.array(draw(st.lists(st.integers(0, 60), min_size=n * n, max_size=n * n)),
+                      dtype=np.int64).reshape(n, n)
+    counts[draw(st.lists(st.integers(0, n - 1), max_size=n)), :] = 0
+    counts[:, draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0
+    assume(counts.sum() > 0)
+    return ConfusionMatrix(tuple(f"l{i}" for i in range(n)), counts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(confusion_matrices())
+def test_metrics_matches_the_per_class_loop_bit_for_bit(confusion):
+    accuracy, per_class, averages = metrics_oracle(confusion)
+    report = metrics(confusion)
+    assert bits([report.accuracy]) == bits([accuracy])
+    assert list(report.per_class) == list(per_class)
+    for lbl, m in report.per_class.items():
+        assert bits(astuple(m)) == bits(per_class[lbl])
+    assert list(report.averages) == list(AVERAGES) == list(averages)
+    for name, avg in report.averages.items():
+        assert bits(astuple(avg)) == bits(averages[name])
 
 
 def nearest_spy():
