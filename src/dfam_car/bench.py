@@ -22,7 +22,7 @@ from .dfam import BinLayout
 from .errors import ConfigError
 from .evaluate import Instance
 from .pipeline import ModelSpec, prepare_bundles, trainer_for, window_payload
-from .signals import DEFAULT_CUTOFF_HZ, Window
+from .signals import Window
 from .synth import default_activity_set, make_corpus
 
 
@@ -33,7 +33,6 @@ def build_bench_windows(
     sample_rate_hz: float = 50.0,
     seed: int = 0,
     noise_std: float = 0.3,
-    cutoff_hz: float = DEFAULT_CUTOFF_HZ,
 ):
     """Labeled window bundles, interleaved across activities for balance."""
     if train_size < 1 or n_test < 1:
@@ -44,10 +43,8 @@ def build_bench_windows(
     recordings = make_corpus(
         1, activities, duration_s, sample_rate_hz, noise_std, seed
     )
-    per_recording = [
-        (str(rec.label), prepare_bundles(rec.series, window_size, cutoff_hz))
-        for rec in recordings
-    ]
+    per_recording = [(str(rec.label), prepare_bundles(rec.series, window_size))
+                     for rec in recordings]
     labeled = []
     for i in range(per_class):
         for label, bundles in per_recording:
@@ -89,7 +86,6 @@ def run_benchmark(
     seed: int = 0,
     repetitions: int = 10,
     noise_std: float = 0.3,
-    cutoff_hz: float = DEFAULT_CUTOFF_HZ,
 ) -> dict:
     """Min / median / p95 per-window latency per model.
 
@@ -100,9 +96,8 @@ def run_benchmark(
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
     if not 0.0 < sample_rate_hz < math.inf:
         raise ConfigError(f"sample_rate_hz must be a positive finite number, got {sample_rate_hz}")
-    train_set, test_set = build_bench_windows(
-        train_size, n_test, window_size, sample_rate_hz, seed, noise_std, cutoff_hz
-    )
+    train_set, test_set = build_bench_windows(train_size, n_test, window_size, sample_rate_hz,
+                                              seed, noise_std)
     layout = BinLayout.equal_width(g, sample_rate_hz)
     results = {}
     for spec in model_specs:

@@ -14,7 +14,7 @@ from . import classifiers, evaluate, pipeline, synth
 from .dfam import BinLayout, DfamModel
 from .errors import CarError, ConfigError, ParseError
 from .hierarchy import DEFAULT_RESET_PERIOD, write_events_jsonl
-from .signals import DEFAULT_CUTOFF_HZ, DEVICES, SENSORS, csv_rows, read_recording
+from .signals import DEVICES, SENSORS, csv_rows, read_recording
 
 STANDARD_WINDOW_SIZES = (32, 64, 128, 256, 512)
 
@@ -101,7 +101,7 @@ def cmd_train(args) -> int:
     _validate_w([args.W], args.allow_any_w)
     recordings = _load_corpus(args, sensors)
     layout = BinLayout.equal_width(args.g, args.fs)
-    instances = pipeline.instances_for(spec, recordings, args.W, layout, args.cutoff, devices)
+    instances = pipeline.instances_for(spec, recordings, args.W, layout, devices)
     if args.relabel == "moving":
         instances = pipeline.relabel_moving(instances)
     elif args.relabel == "distracted":
@@ -129,8 +129,7 @@ def cmd_classify(args) -> int:
     window_size, fs, layout, channels = kind.windowing(model)
     series = read_recording(args.recording, fs)
     with pipeline.naming(args.recording):
-        bundles = pipeline.prepare_bundles(pipeline.model_series(series, channels), window_size,
-                                           args.cutoff)
+        bundles = pipeline.prepare_bundles(pipeline.model_series(series, channels), window_size)
     _warn_unchecked_channels([(args.model_file, model)])
     rows = []
     for bundle in bundles:
@@ -143,10 +142,10 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _evaluate_cell(recordings, protocol, spec_text, w, g, sensors, cutoff, fs, seed, k):
+def _evaluate_cell(recordings, protocol, spec_text, w, g, sensors, fs, seed, k):
     spec = pipeline.ModelSpec.parse(spec_text)
     layout = BinLayout.equal_width(g, fs)
-    instances = pipeline.instances_for(spec, recordings, w, layout, cutoff)
+    instances = pipeline.instances_for(spec, recordings, w, layout)
     channels = pipeline.corpus_channels(recordings)
     train_fn, predict_fn = pipeline.trainer_for(spec, layout, w, seed, channels)
     mean_participant = ""
@@ -189,9 +188,7 @@ def cmd_evaluate(args) -> int:
         pipeline.ModelSpec.parse(m)  # fail fast on bad specs
     recordings = _load_corpus(args, sensors)
     results = [
-        _evaluate_cell(
-            recordings, args.protocol, m, w, g, sensors, args.cutoff, args.fs, args.seed, args.k
-        )
+        _evaluate_cell(recordings, args.protocol, m, w, g, sensors, args.fs, args.seed, args.k)
         for m, w, g in sorted({(m, w, g) for m in models for w in ws for g in gs})
     ]
     rows = [row for row, _ in results]
@@ -212,13 +209,15 @@ _CONTEXT_FLAGS = {"0": False, "1": True, "false": False, "true": True, "no": Fal
 
 
 def _read_context(path) -> dict[int, bool]:
-    """window_index -> smartphone_in_use; each index at most once, each flag
-    one of 0, 1, true, false, yes and no (any case)."""
+    """window_index -> smartphone_in_use; each index ASCII decimal digits and
+    listed at most once, each flag one of 0, 1, true, false, yes and no (any
+    case); either may have surrounding spaces."""
     flags: dict[int, bool] = {}
     for lineno, (index, in_use) in csv_rows(path, ("window_index", "smartphone_in_use")):
+        digits = index.strip()
         try:
-            i = int(index)
-        except ValueError:
+            i = int(digits) if digits.isascii() and digits.isdigit() else -1
+        except ValueError:  # more digits than int() converts
             i = -1
         if i < 0:
             raise ParseError(f"bad window index {index!r}", lineno, path)
@@ -246,7 +245,7 @@ def cmd_replay(args) -> int:
         return flags
 
     with pipeline.naming(args.recording):
-        replayed = pipeline.replay(series, s1_model, s3_model, args.reset, context, args.cutoff)
+        replayed = pipeline.replay(series, s1_model, s3_model, args.reset, context)
     _warn_unchecked_channels([(args.s1_model, s1_model), (args.s3_model, s3_model)])
     states, events = zip(*replayed)  # a recording has at least one window
     events = [event for event in events if event is not None]
@@ -271,7 +270,6 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         repetitions=args.reps,
         noise_std=args.noise,
-        cutoff_hz=args.cutoff,
     )
     text = json.dumps(results, sort_keys=True, indent=2)
     if args.out:
@@ -288,7 +286,6 @@ def cmd_bench(args) -> int:
 _COMMON_OPTIONS = {
     "fs": dict(type=float, default=50.0, help="sample rate in Hz"),
     "seed": dict(type=int, default=0),
-    "cutoff": dict(type=float, default=DEFAULT_CUTOFF_HZ, help="low-pass cutoff in Hz"),
     "sensors": dict(default="acc,gyr", help="comma list from {acc,gyr}"),
 }
 
@@ -331,14 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--allow-any-w", action="store_true")
     p.add_argument("--out", required=True)
-    _add_common(p, "fs", "seed", "cutoff", "sensors")
+    _add_common(p, "fs", "seed", "sensors")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("classify", help="label a recording window by window")
     p.add_argument("--model-file", required=True)
     p.add_argument("--recording", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p, "cutoff")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("evaluate", help="run a protocol over a (model, W, g) grid")
@@ -352,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-any-w", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--json", default=None, help="also write full reports as JSON")
-    _add_common(p, "fs", "seed", "cutoff", "sensors")
+    _add_common(p, "fs", "seed", "sensors")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("replay", help="run the hierarchical recognizer over a recording")
@@ -362,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s3-model", required=True)
     p.add_argument("--reset", type=int, default=DEFAULT_RESET_PERIOD)
     p.add_argument("--out", required=True)
-    _add_common(p, "cutoff")
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("bench", help="measure per-window classification latency")
@@ -375,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.3)
     p.add_argument("--allow-any-w", action="store_true")
     p.add_argument("--out", default=None)
-    _add_common(p, "fs", "seed", "cutoff")
+    _add_common(p, "fs", "seed")
     p.set_defaults(func=cmd_bench)
 
     return ap

@@ -394,6 +394,8 @@ def loads_model(text: str, path=None) -> DfamModel:
         if sig.s != axes or sig.g != g:
             raise ParseError(f"instance shape {sig.s}x{sig.g} does not match header", lineno, path)
         instances.append((label, sig))
+    if not instances:
+        raise ParseError("model has no training instances", 2, path)
     try:
         return DfamModel(layout, window_size, tuple(instances), channels)
     except AlignmentError as exc:  # the header's channels do not fit its axes

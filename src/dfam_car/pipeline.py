@@ -181,14 +181,13 @@ def instances_for(
     recordings: Sequence[Recording],
     window_size: int,
     layout: BinLayout,
-    cutoff_hz: float = DEFAULT_CUTOFF_HZ,
     devices: Sequence[str] = DEVICES,
 ) -> list[Instance]:
     out = []
     for rec in recordings:
         fs = next(iter(rec.series.values())).sample_rate_hz
         with naming(rec.recording_id):
-            for bundle in prepare_bundles(rec.series, window_size, cutoff_hz, devices):
+            for bundle in prepare_bundles(rec.series, window_size, devices=devices):
                 payload = window_payload(spec.kind, bundle, fs, layout)
                 out.append(Instance(str(rec.label), payload, rec.participant_id, rec.recording_id))
     return out
@@ -198,11 +197,9 @@ def signature_instances(
     recordings: Sequence[Recording],
     window_size: int,
     layout: BinLayout,
-    cutoff_hz: float = DEFAULT_CUTOFF_HZ,
     devices: Sequence[str] = DEVICES,
 ) -> list[Instance]:
-    return instances_for(ModelSpec.parse("dfam"), recordings, window_size, layout, cutoff_hz,
-                         devices)
+    return instances_for(ModelSpec.parse("dfam"), recordings, window_size, layout, devices)
 
 
 # --------------------------------------------------------- hierarchy helpers
@@ -231,8 +228,7 @@ def relabel_distracted(instances: Sequence[Instance]) -> list[Instance]:
 
 def replay(
     series_by_channel: Mapping[Channel, TimeSeries], s1_model: dfam.DfamModel,
-    s3_model: dfam.DfamModel, reset_period: int,
-    in_use: Callable[[int], Mapping[int, bool]], cutoff_hz: float,
+    s3_model: dfam.DfamModel, reset_period: int, in_use: Callable[[int], Mapping[int, bool]],
 ) -> Iterator[tuple[str, DistractionEvent | None]]:
     """Window the channels the S3 model reads (a v1 model, which records
     none: all), call in_use(n) with the window count for each window index's
@@ -241,7 +237,7 @@ def replay(
     returned then drives the S1/S2/S3 machine one window per step, yielding
     the state the window was processed in and its event or None."""
     bundles = prepare_bundles(model_series(series_by_channel, s3_model.channels),
-                              s3_model.window_size, cutoff_hz)
+                              s3_model.window_size)
     flags = in_use(len(bundles))
     channels = sorted(bundles[0])
     if not set(s1_model.channels or ()) <= set(channels):

@@ -22,7 +22,7 @@ SENSORS = ("acc", "gyr")
 AXES = ("x", "y", "z")
 
 DEFAULT_SAMPLE_RATE_HZ = 50.0
-DEFAULT_CUTOFF_HZ = 10.0
+DEFAULT_CUTOFF_HZ = 10.0  # every command filters at it: model files do not record a cutoff
 
 CSV_FIELDS = ("timestamp_ms", "device", "sensor", "x", "y", "z")
 
@@ -169,9 +169,8 @@ def low_pass_filter(series: TimeSeries, cutoff_hz: float = DEFAULT_CUTOFF_HZ) ->
     DC gain is unity; roll-off is monotone above the cutoff.
     """
     if not (0.0 < cutoff_hz < series.sample_rate_hz / 2.0):
-        raise ConfigError(
-            f"cutoff must lie in (0, {series.sample_rate_hz / 2.0}) Hz, got {cutoff_hz}"
-        )
+        raise ConfigError(f"low-pass cutoff {cutoff_hz} Hz must be positive and below half"
+                          f" the {series.sample_rate_hz} Hz sample rate")
     b, a = _butter_low_pass(cutoff_hz, series.sample_rate_hz)
     filtered = _sps.lfilter(b, a, series.values)
     return TimeSeries(series.channel, series.sample_rate_hz, filtered)

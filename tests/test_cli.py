@@ -15,7 +15,7 @@ from dfam_car.dfam import classify, extract_signature, load_model
 from dfam_car.errors import ParseError
 from dfam_car.hierarchy import DEFAULT_RESET_PERIOD, write_events_jsonl
 from dfam_car.pipeline import ModelSpec, bundle_spectra, prepare_bundles
-from dfam_car.signals import DEFAULT_CUTOFF_HZ, read_recording
+from dfam_car.signals import read_recording
 
 
 REPORT_HEADER = (
@@ -172,6 +172,16 @@ def test_train_rejects_nonstandard_w(tmp_path, corpus, capsys):
     )
     assert rc == 1
     assert "allow-any-w" in capsys.readouterr().err
+
+
+def test_train_below_twice_the_cutoff_names_the_sample_rate(tmp_path, corpus, capsys):
+    """The corpus is written at 50 Hz; read at 20 Hz, the fixed 10 Hz
+    low-pass cutoff reaches the Nyquist rate."""
+    model = tmp_path / "m"
+    assert main(["train", "--corpus", str(corpus), "--fs", "20", "--out", str(model)]) == 1
+    assert capsys.readouterr().err == ("error: low-pass cutoff 10.0 Hz must be positive and"
+                                       " below half the 20.0 Hz sample rate\n")
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate", "bench"])
@@ -528,7 +538,7 @@ def test_classify_and_replay_read_at_the_model_s_sample_rate(tmp_path, capsys):
         assert [row["label"] for row in csv_dicts(labels)] == expected
     s1, s3 = (pipeline.load_any_model(paths[name]) for name in ("s1", "s3"))
     steps = list(pipeline.replay(read_recording(recording, 100.0), s1, s3, DEFAULT_RESET_PERIOD,
-                                 lambda n: {}, DEFAULT_CUTOFF_HZ))
+                                 lambda n: {}))
     expected = tmp_path / "expected.jsonl"
     write_events_jsonl([event for _, event in steps if event is not None], expected)
     events = tmp_path / "events.jsonl"
@@ -540,7 +550,8 @@ def test_classify_and_replay_read_at_the_model_s_sample_rate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "row", ["x1,1", "0", "0,1,1", "1,2", "1,Y", "1,on", "1,", "-1,1", "0,1", "0,0"]
+    "row", ["x1,1", "0", "0,1,1", "1,2", "1,Y", "1,on", "1,", "-1,1", "0,1", "0,0", "1_0,1",
+            "+1,1", "\u0661,1"]
 )
 def test_replay_context_bad_row(tmp_path, row):
     context = tmp_path / "context.csv"
@@ -967,13 +978,18 @@ def test_usage_errors_exit_2():
         main(["train", "--corpus", "x"])  # missing --out
     assert e.value.code == 2
     # each command declares only the options it reads; the model file gives
-    # classify and replay the window size, sample rate and channels
+    # classify and replay the window size, sample rate and channels, and no
+    # command sets the low-pass cutoff (signals.DEFAULT_CUTOFF_HZ)
     classify = ["classify", "--model-file", "m", "--recording", "r", "--out", "o"]
     replay = ["replay", "--recording", "r", "--s1-model", "a", "--s3-model", "b", "--out", "o"]
+    cutoff = ["--cutoff", "10"]
     for argv in (classify + ["--seed", "1"], classify + ["--W", "128"], classify + ["--fs", "50"],
                  classify + ["--sensors", "acc"], replay + ["--seed", "1"],
                  replay + ["--s1-channels", "phone"], replay + ["--fs", "50"],
-                 replay + ["--sensors", "acc"], ["bench", "--sensors", "acc"]):
+                 replay + ["--sensors", "acc"], ["bench", "--sensors", "acc"],
+                 ["train", "--corpus", "c", "--out", "o"] + cutoff, classify + cutoff,
+                 ["evaluate", "--corpus", "c", "--out", "o"] + cutoff, replay + cutoff,
+                 ["bench"] + cutoff):
         with pytest.raises(SystemExit) as e:
             main(argv)
         assert e.value.code == 2
@@ -983,15 +999,14 @@ OPTIONS = {
     "gen": ("--out", "--participants", "--duration", "--noise", "--jitter", "--placements",
             "--fs", "--seed"),
     "train": ("--corpus", "--model", "--W", "--g", "--placement", "--devices", "--relabel",
-              "--allow-any-w", "--out", "--fs", "--seed", "--cutoff", "--sensors"),
-    "classify": ("--model-file", "--recording", "--out", "--cutoff"),
+              "--allow-any-w", "--out", "--fs", "--seed", "--sensors"),
+    "classify": ("--model-file", "--recording", "--out"),
     "evaluate": ("--corpus", "--protocol", "--k", "--models --model", "--W", "--g",
-                 "--placement", "--allow-any-w", "--out", "--json", "--fs", "--seed", "--cutoff",
+                 "--placement", "--allow-any-w", "--out", "--json", "--fs", "--seed",
                  "--sensors"),
-    "replay": ("--recording", "--context", "--s1-model", "--s3-model", "--reset", "--out",
-               "--cutoff"),
+    "replay": ("--recording", "--context", "--s1-model", "--s3-model", "--reset", "--out"),
     "bench": ("--models --model", "--train-size", "--windows", "--W", "--g", "--reps",
-              "--noise", "--allow-any-w", "--out", "--fs", "--seed", "--cutoff"),
+              "--noise", "--allow-any-w", "--out", "--fs", "--seed"),
 }
 
 
@@ -1002,4 +1017,4 @@ def test_option_inventory():
     found = {name: tuple(" ".join(a.option_strings) for a in p._actions if a.dest != "help")
              for name, p in commands.choices.items()}
     assert found == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 58
+    assert sum(map(len, OPTIONS.values())) == 53

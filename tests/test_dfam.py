@@ -305,8 +305,9 @@ def test_loads_model_errors():
     assert e.value.line == 2
     with pytest.raises(ParseError):
         loads_model(good + "walking;not-numbers\n")
-    with pytest.raises(TrainingError):
+    with pytest.raises(ParseError) as e:
         loads_model(good)  # no instances
+    assert e.value.line == 2
     for header in (
         "DFAM v1 W=48 fs=50.0 g=1 axes=2 bounds=",  # W not a power of two
         "DFAM v1 W=64 fs=nan g=1 axes=2 bounds=",

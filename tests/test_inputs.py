@@ -42,7 +42,8 @@ LABEL_TOKENS = COMMON_TOKENS + (
     b"flying", b"walking+eating+x", b"RR", b"r1,p00,walking,RR\n",
 )
 CONTEXT_TOKENS = COMMON_TOKENS + (
-    b"0", b"1", b"-3", b"x", b"true", b"yes", b"1_0", b"9" * 5000, b"0,1\n",
+    b"0", b"1", b"-3", b"x", b"true", b"yes", b"1_0", b"+", "\u0661".encode(), b"9" * 5000,
+    b"0,1\n",
 )
 DFAM_V1 = b"DFAM v1 W=64 fs=50.0 g=2 axes=2 bounds=12.5\n"
 DFAM_V2 = b"DFAM v2 W=64 fs=50.0 g=2 axes=2 bounds=12.5 channels=phone_acc_x,phone_acc_y\n"
@@ -174,10 +175,17 @@ def test_fuzz_load_corpus(scratch, data):
 @given(data=near_valid_bytes((CONTEXT_HEADER,), CONTEXT_TOKENS))
 @example(data=CONTEXT_HEADER + b"0,\xff\n")
 @example(data=CONTEXT_HEADER + b'"0",1\r\n')
+@example(data=CONTEXT_HEADER + b"1_0,1\n")
 def test_fuzz_read_context(scratch, data):
+    """Each index returned is written out, in plain decimal, in some row."""
     path = scratch / "context.csv"
     path.write_bytes(data)
-    returns_or_raises_car_error(_read_context, path)
+    try:
+        flags = _read_context(path)
+    except CarError:
+        return
+    fields = {row.split(",")[0].strip() for row in data.decode().split("\n")[1:]}
+    assert all(str(i) in fields for i in flags)
 
 
 @settings(max_examples=300, deadline=None)
@@ -231,6 +239,8 @@ def load_and_apply(path):
         (b'MODEL v1 kind=knn\n{"labels": ["\xff"]}\n', 2),
         (b"DFAM v1 W=64\n", 1),
         (DFAM_V1 + b"walking;1:2\n", 2),
+        (DFAM_V1, 2),
+        (DFAM_V2, 2),
         (b"MODEL v1 kind=knn\nnot-json\n", 2),
         (b"MODEL v9\n", 1),
         (b"BOGUS\n", 1),

@@ -10,7 +10,7 @@ from dfam_car import pipeline
 from dfam_car.dfam import ActivityLabel, BinLayout
 from dfam_car.errors import CarError, ConfigError
 from dfam_car.hierarchy import EVENT_MOTION, EVENT_SMARTPHONE, HierarchicalCar
-from dfam_car.signals import DEFAULT_CUTOFF_HZ, SENSORS, TimeSeries
+from dfam_car.signals import SENSORS, TimeSeries
 from dfam_car.synth import build_profile, generate, make_corpus
 
 FS = 50.0
@@ -42,7 +42,7 @@ def replay_oracle(series, s1, s3, reset, flags, s1_channels):
 def driven(series, s1, s3, reset, flags):
     """pipeline.replay called as `dfam-car replay` calls it, its steps split
     into the trace and the events."""
-    steps = list(pipeline.replay(series, s1, s3, reset, lambda n: flags, DEFAULT_CUTOFF_HZ))
+    steps = list(pipeline.replay(series, s1, s3, reset, lambda n: flags))
     for i, (_, event) in enumerate(steps):
         assert event is None or event.window_index == i
     return [state for state, _ in steps], [event for _, event in steps if event is not None]
@@ -67,8 +67,7 @@ def only(series, sensors):
 def train(recordings, relabel, devices=("phone", "watch"), sensors=SENSORS):
     recordings = [dataclasses.replace(rec, series=only(rec.series, sensors)) for rec in recordings]
     layout = BinLayout.equal_width(2, FS)
-    instances = relabel(pipeline.signature_instances(
-        recordings, W, layout, DEFAULT_CUTOFF_HZ, devices))
+    instances = relabel(pipeline.signature_instances(recordings, W, layout, devices))
     channels = pipeline.corpus_channels(recordings, devices)
     train_fn, _ = pipeline.trainer_for(pipeline.ModelSpec.parse("dfam"), layout, W, 0, channels)
     return train_fn(instances)
@@ -171,6 +170,6 @@ def test_replay_reads_the_context_with_the_window_count_then_checks_at_the_call(
         return {}
 
     with pytest.raises(ConfigError, match="the S1 model reads channels"):
-        pipeline.replay(stream, models["s1_phone"], models["s3_acc"], 30, in_use,
-                        DEFAULT_CUTOFF_HZ)  # raised without taking a step
+        pipeline.replay(stream, models["s1_phone"], models["s3_acc"], 30,
+                        in_use)  # raised without taking a step
     assert seen == [len(pipeline.prepare_bundles(stream, W))]
