@@ -14,7 +14,7 @@ from . import classifiers, evaluate, pipeline, synth
 from .dfam import BinLayout, DfamModel
 from .errors import CarError, ConfigError, ParseError
 from .hierarchy import DEFAULT_RESET_PERIOD, write_events_jsonl
-from .signals import DEVICES, SENSORS, csv_rows, read_recording
+from .signals import DEVICES, SENSORS, all_channels, csv_rows, read_recording
 
 STANDARD_WINDOW_SIZES = (32, 64, 128, 256, 512)
 
@@ -34,6 +34,12 @@ def _int_list(text: str) -> list[int]:
         return [int(part) for part in _comma_list(text)]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _validate_w(values, allow_any: bool) -> None:
@@ -82,12 +88,12 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load_corpus(args, sensors):
+def _load_corpus(args):
     """The corpus's recordings at the --placement subset, of which there must
     be one; every one without it."""
     keep = (None if args.placement is None
             else _subset(args.placement, synth.PLACEMENTS, "placement"))
-    recordings = pipeline.load_corpus(args.corpus, args.fs, sensors)
+    recordings = pipeline.load_corpus(args.corpus, args.fs)
     kept = [r for r in recordings if keep is None or r.placement in keep]
     if keep and not kept:
         raise ConfigError(f"{args.corpus} holds no recording at the placements {','.join(keep)}")
@@ -99,14 +105,14 @@ def cmd_train(args) -> int:
     sensors = _subset(args.sensors, SENSORS, "sensor")
     devices = _subset(args.devices, DEVICES, "device")
     _validate_w([args.W], args.allow_any_w)
-    recordings = _load_corpus(args, sensors)
+    recordings = _load_corpus(args)
     layout = BinLayout.equal_width(args.g, args.fs)
-    instances = pipeline.instances_for(spec, recordings, args.W, layout, devices)
+    channels = tuple(ch for ch in all_channels(sensors) if ch.device in devices)
+    instances = pipeline.instances_for(spec, recordings, args.W, layout, channels)
     if args.relabel == "moving":
         instances = pipeline.relabel_moving(instances)
     elif args.relabel == "distracted":
         instances = pipeline.relabel_distracted(instances)
-    channels = pipeline.corpus_channels(recordings, devices)
     train_fn, _ = pipeline.trainer_for(spec, layout, args.W, args.seed, channels)
     model = train_fn(sorted(instances, key=lambda i: (i.label, i.block or "", i.participant or "")))
     spec.kind.save(model, args.out)
@@ -145,8 +151,8 @@ def cmd_classify(args) -> int:
 def _evaluate_cell(recordings, protocol, spec_text, w, g, sensors, fs, seed, k):
     spec = pipeline.ModelSpec.parse(spec_text)
     layout = BinLayout.equal_width(g, fs)
-    instances = pipeline.instances_for(spec, recordings, w, layout)
-    channels = pipeline.corpus_channels(recordings)
+    channels = all_channels(sensors)
+    instances = pipeline.instances_for(spec, recordings, w, layout, channels)
     train_fn, predict_fn = pipeline.trainer_for(spec, layout, w, seed, channels)
     mean_participant = ""
     if protocol == "kfold":
@@ -186,7 +192,7 @@ def cmd_evaluate(args) -> int:
     _validate_w(ws, args.allow_any_w)
     for m in models:
         pipeline.ModelSpec.parse(m)  # fail fast on bad specs
-    recordings = _load_corpus(args, sensors)
+    recordings = _load_corpus(args)
     results = [
         _evaluate_cell(recordings, args.protocol, m, w, g, sensors, args.fs, args.seed, args.k)
         for m, w, g in sorted({(m, w, g) for m in models for w in ws for g in gs})
@@ -285,7 +291,7 @@ def cmd_bench(args) -> int:
 
 _COMMON_OPTIONS = {
     "fs": dict(type=float, default=50.0, help="sample rate in Hz"),
-    "seed": dict(type=int, default=0),
+    "seed": dict(type=_seed, default=0),
     "sensors": dict(default="acc,gyr", help="comma list from {acc,gyr}"),
 }
 

@@ -98,6 +98,9 @@ class BinLayout:
         Not cached: per-window callers go through _band_gather, which is.
         """
         nyq = self.sample_rate_hz / 2.0
+        if not math.isfinite(nyq * window_size / self.sample_rate_hz):  # nyq is the top edge
+            raise ConfigError(f"sample rate {self.sample_rate_hz} Hz at window size {window_size}"
+                              " gives a DFT bin index too large to represent")
         edges = (0.0,) + self.boundaries + (nyq,)
         ranges = []
         for i in range(self.g):

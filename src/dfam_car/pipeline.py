@@ -23,11 +23,11 @@ from .hierarchy import (
 from .signals import (
     DEFAULT_CUTOFF_HZ,
     DEVICES,
-    SENSORS,
     Channel,
     Spectrum,
     TimeSeries,
     Window,
+    all_channels,
     csv_rows,
     low_pass_filter,
     read_recording,
@@ -38,7 +38,7 @@ from .synth import LABEL_FIELDS, Recording
 
 
 def load_corpus(
-    corpus_dir, sample_rate_hz: float = 50.0, sensors: Sequence[str] = SENSORS
+    corpus_dir, sample_rate_hz: float = 50.0
 ) -> list[Recording]:
     """Read labels.csv plus one CSV per recording from a corpus directory.
 
@@ -62,7 +62,7 @@ def load_corpus(
             label = ActivityLabel.parse(label_text)
         except ConfigError as exc:
             raise ParseError(str(exc), lineno, labels_path) from None
-        series = read_recording(path, sample_rate_hz, sensors)
+        series = read_recording(path, sample_rate_hz)
         recordings.append(Recording(rec_id, participant, label, placement, series))
     return recordings
 
@@ -71,24 +71,10 @@ def prepare_bundles(
     series_by_channel: Mapping[Channel, TimeSeries],
     window_size: int,
     cutoff_hz: float = DEFAULT_CUTOFF_HZ,
-    devices: Sequence[str] = DEVICES,
 ) -> list[dict[Channel, Window]]:
-    """Low-pass filter the given devices' channels, then segment and align them."""
+    """Low-pass filter every given channel, then segment and align them."""
     return window_bundles({ch: low_pass_filter(s, cutoff_hz) for ch, s in
-                           series_by_channel.items() if ch.device in devices}, window_size)
-
-
-def corpus_channels(
-    recordings: Sequence[Recording], devices: Sequence[str] = DEVICES
-) -> tuple[Channel, ...]:
-    """The channels instances_for windows, in canonical order; the recordings
-    must all have the same ones."""
-    found = [tuple(sorted(ch for ch in rec.series if ch.device in devices)) for rec in recordings]
-    for rec, channels in zip(recordings, found):
-        if channels != found[0]:
-            raise AlignmentError(f"{rec.recording_id}: its channels differ from those of"
-                                 f" {recordings[0].recording_id}")
-    return found[0] if found else ()
+                           series_by_channel.items()}, window_size)
 
 
 @contextmanager
@@ -181,13 +167,14 @@ def instances_for(
     recordings: Sequence[Recording],
     window_size: int,
     layout: BinLayout,
-    devices: Sequence[str] = DEVICES,
+    channels: Sequence[Channel] | None = None,
 ) -> list[Instance]:
+    """An instance per window of the channels given (None: all a recording has)."""
     out = []
     for rec in recordings:
         fs = next(iter(rec.series.values())).sample_rate_hz
         with naming(rec.recording_id):
-            for bundle in prepare_bundles(rec.series, window_size, devices=devices):
+            for bundle in prepare_bundles(model_series(rec.series, channels), window_size):
                 payload = window_payload(spec.kind, bundle, fs, layout)
                 out.append(Instance(str(rec.label), payload, rec.participant_id, rec.recording_id))
     return out
@@ -199,7 +186,8 @@ def signature_instances(
     layout: BinLayout,
     devices: Sequence[str] = DEVICES,
 ) -> list[Instance]:
-    return instances_for(ModelSpec.parse("dfam"), recordings, window_size, layout, devices)
+    channels = tuple(ch for ch in all_channels() if ch.device in devices)
+    return instances_for(ModelSpec.parse("dfam"), recordings, window_size, layout, channels)
 
 
 # --------------------------------------------------------- hierarchy helpers

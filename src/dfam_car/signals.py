@@ -369,9 +369,8 @@ def _bulk_streams(body: str) -> dict[tuple[str, str], np.ndarray] | None:
 def read_recording(
     path,
     sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
-    sensors: Sequence[str] = SENSORS,
 ) -> dict[Channel, TimeSeries]:
-    """Read one recording session CSV into per-channel series.
+    """Read every stream of one recording session CSV into per-channel series.
 
     Header: timestamp_ms,device,sensor,x,y,z. Timestamps within one
     (device, sensor) stream must be non-decreasing. Samples are assumed
@@ -384,13 +383,11 @@ def read_recording(
         streams = _row_streams(text, path)
     out: dict[Channel, TimeSeries] = {}
     for (device, sensor), arr in sorted(streams.items()):
-        if sensor not in sensors:
-            continue
         for j, axis in enumerate(AXES):
             ch = Channel(device, sensor, axis)
             out[ch] = TimeSeries(ch, sample_rate_hz, arr[:, j])
     if not out:
-        raise ParseError(f"no sample rows for the sensors {','.join(sensors)}", path=path)
+        raise ParseError("no sample rows", path=path)
     return out
 
 

@@ -74,6 +74,12 @@ def write_artifacts(work: Path) -> dict[str, Path]:
         _run(*train, "--model", "dfam", "--W", 64, "--g", 2, "--relabel", relabel,
              "--devices", devices, "--out", path)
         out[f"train {state}"] = path
+    subsets = {"dfam acc": ("--model", "dfam", "--sensors", "acc"),
+               "nb watch gyr": ("--model", "nb", "--devices", "watch", "--sensors", "gyr")}
+    for name, args in subsets.items():
+        path = work / name.replace(" ", "_")
+        _run(*train, *args, "--out", path)
+        out[f"train {name}"] = path
     recording = corpus / "p00_walking+eating_RR.csv"
     for spec in ("dfam", "knn3"):
         path = work / f"classify_{spec}.csv"
@@ -83,6 +89,7 @@ def write_artifacts(work: Path) -> dict[str, Path]:
         "kfold_dfam": ("--protocol", "kfold", "--k", 3, "--models", "dfam", "--W", "64,128",
                        "--g", "1,3", "--seed", 2),
         "loso_baselines": ("--protocol", "loso", "--models", ",".join(BASELINES), "--W", 128),
+        "kfold_acc": ("--protocol", "kfold", "--k", 3, "--models", "dfam,nb", "--sensors", "acc"),
     }
     for name, args in grids.items():
         report, full = work / f"{name}.csv", work / f"{name}.json"

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
-import dataclasses
 import time
 
 import numpy as np
@@ -19,7 +18,7 @@ from dfam_car.dfam import ActivityLabel, BinLayout, Signature
 from dfam_car.evaluate import ConfusionMatrix, Instance, kfold, loocv_blocks, loso, metrics
 from dfam_car.features import FeatureVector
 from dfam_car.hierarchy import MOVING_LABEL, HierarchicalCar
-from dfam_car.signals import segment, spectrum
+from dfam_car.signals import all_channels, segment, spectrum
 from dfam_car.synth import build_profile, generate, make_corpus
 
 FS = 50.0
@@ -43,11 +42,10 @@ def corpora():
 
 
 def _dfam_kfold_accuracy(recordings, g, w, sensors=("acc", "gyr")):
-    recordings = [dataclasses.replace(rec, series={
-        ch: s for ch, s in rec.series.items() if ch.sensor in sensors}) for rec in recordings]
+    spec = pipeline.ModelSpec.parse("dfam")
     layout = BinLayout.equal_width(g, FS)
-    instances = pipeline.signature_instances(recordings, w, layout)
-    train_fn, predict_fn = pipeline.trainer_for(pipeline.ModelSpec.parse("dfam"), layout, w, 0)
+    instances = pipeline.instances_for(spec, recordings, w, layout, all_channels(sensors))
+    train_fn, predict_fn = pipeline.trainer_for(spec, layout, w, 0)
     report = kfold(instances, train_fn, predict_fn, k=10, seed=0)
     return report.accuracy
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import tracemalloc
 from unittest import mock
@@ -29,7 +28,7 @@ from dfam_car.classifiers import (
 from dfam_car.dfam import ActivityLabel, BinLayout
 from dfam_car.errors import ConfigError, ParseError, TrainingError
 from dfam_car.features import FeatureVector
-from dfam_car.signals import DEVICES, SENSORS
+from dfam_car.signals import DEVICES, SENSORS, all_channels
 from dfam_car.synth import make_corpus
 
 
@@ -686,13 +685,11 @@ def test_a_feature_model_reads_the_channels_it_was_trained_on(devices, sensors):
     """The channels a feature model derives from its schema are those its
     training windowed, for every subset of devices and sensors."""
     activities = tuple(ActivityLabel.parse(t) for t in ("standing", "walking"))
-    recordings = [dataclasses.replace(rec, series={
-        ch: s for ch, s in rec.series.items() if ch.sensor in sensors})
-        for rec in make_corpus(participants=1, activities=activities, duration_s=3.0)]
+    recordings = make_corpus(participants=1, activities=activities, duration_s=3.0)
     spec = pipeline.ModelSpec.parse("nb")
     layout = BinLayout.equal_width(3, 50.0)
-    instances = pipeline.instances_for(spec, recordings, 64, layout, devices=devices)
-    channels = pipeline.corpus_channels(recordings, devices)
+    channels = tuple(ch for ch in all_channels(sensors) if ch.device in devices)
+    instances = pipeline.instances_for(spec, recordings, 64, layout, channels)
     assert len(channels) == 3 * len(devices) * len(sensors)
     model = pipeline.trainer_for(spec, layout, 64, 0, channels)[0](instances)
     assert model.channels == channels

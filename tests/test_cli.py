@@ -15,7 +15,7 @@ from dfam_car.dfam import classify, extract_signature, load_model
 from dfam_car.errors import ParseError
 from dfam_car.hierarchy import DEFAULT_RESET_PERIOD, write_events_jsonl
 from dfam_car.pipeline import ModelSpec, bundle_spectra, prepare_bundles
-from dfam_car.signals import read_recording
+from dfam_car.signals import CHANNEL_BY_KEY, read_recording
 
 
 REPORT_HEADER = (
@@ -656,7 +656,8 @@ def test_evaluate_and_bench_models_record_their_channels(tmp_path, corpus, monke
     assert main(["evaluate", "--corpus", str(corpus), "--protocol", "kfold", "--k", "2",
                  "--models", "dfam", "--W", "128", "--g", "1", "--sensors", "acc",
                  "--out", str(tmp_path / "report.csv")]) == 0
-    acc = pipeline.corpus_channels(pipeline.load_corpus(corpus, 50.0, ("acc",)))
+    recording = next(p for p in sorted(corpus.iterdir()) if p.name != "labels.csv")
+    acc = tuple(sorted(ch for ch in read_recording(recording) if ch.sensor == "acc"))
     assert len(acc) == 6
     assert len(built) == 2 and all(model.channels == acc for model in built)
     built.clear()
@@ -739,12 +740,13 @@ def two_recordings(root, corpus, keep):
 @pytest.mark.parametrize("command", ["train", "evaluate", "classify", "replay"])
 def test_recording_without_samples_is_a_parse_error(tmp_path, corpus, hierarchy_models, capsys,
                                                     command, sensors):
-    """A recording with a header and no rows, or with rows only for a sensor
-    that --sensors leaves out, names its file. classify and replay read every
-    sensor, so rows of the gyroscope alone lack their models' accelerometer
-    channels, and the error names the file too."""
-    _, bad = two_recordings(tmp_path, corpus,
-                            lambda rows: (r for r in rows if sensors == "acc" and ",gyr," in r))
+    """A recording with a header and no rows is a parse error that names its
+    file. One with rows of the gyroscope alone lacks the accelerometer
+    channels that --sensors acc names, or that the models of classify and
+    replay read: the error names its id in train and evaluate, its path in
+    classify and replay."""
+    ids, bad = two_recordings(tmp_path, corpus,
+                              lambda rows: (r for r in rows if sensors == "acc" and ",gyr," in r))
     out = tmp_path / "out"
     s1, s3 = hierarchy_models
     argv = {
@@ -753,13 +755,14 @@ def test_recording_without_samples_is_a_parse_error(tmp_path, corpus, hierarchy_
         "classify": ["classify", "--model-file", str(s3), "--recording", str(bad)],
         "replay": ["replay", "--s1-model", str(s1), "--s3-model", str(s3), "--recording", str(bad)],
     }[command]
-    message = f"no sample rows for the sensors {sensors}"
-    if command in ("classify", "replay") and sensors == "acc":
+    name, message = bad, "no sample rows"
+    if sensors == "acc":
+        name = ids[0] if command in ("train", "evaluate") else bad
         message = ("the model reads channels phone_acc_x,phone_acc_y,phone_acc_z,watch_acc_x,"
                    "watch_acc_y,watch_acc_z, which the recording lacks")
     capsys.readouterr()
     assert main(argv + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert capsys.readouterr().err == f"error: {name}: {message}\n"
     assert not out.exists()
 
 
@@ -797,11 +800,9 @@ def test_windowing_errors_name_their_recording(tmp_path, corpus, hierarchy_model
     message = {
         "short": f"{name}: series of length 5 is shorter than one window of 64",
         "misaligned": f"{name}: channels yield differing window counts: [3, 7]",
-        "phone_only": f"{ids[1]}: its channels differ from those of {ids[0]}",
+        "phone_only": f"{name}: the model reads channels watch_acc_x,watch_acc_y,watch_acc_z,"
+                      "watch_gyr_x,watch_gyr_y,watch_gyr_z, which the recording lacks",
     }[case]
-    if case == "phone_only" and command in ("classify", "replay"):
-        message = (f"{bad}: the model reads channels watch_acc_x,watch_acc_y,watch_acc_z,"
-                   "watch_gyr_x,watch_gyr_y,watch_gyr_z, which the recording lacks")
     out = tmp_path / "out"
     capsys.readouterr()
     assert main(argv + ["--out", str(out)]) == 1
@@ -925,6 +926,48 @@ def test_evaluate_names_the_recording_of_overflowing_features(tmp_path, overflow
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_a_rate_too_large_for_a_bin_index_is_an_error(tmp_path, corpus, capsys, command):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--corpus", str(corpus), "--fs", "1e308", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: sample rate 1e+308 Hz at window size 128 gives a"
+                                       " DFT bin index too large to represent\n")
+    assert not out.exists()
+
+
+def test_train_and_evaluate_window_exactly_the_channels_their_flags_name(tmp_path, corpus,
+                                                                        capsys):
+    """A corpus without gyroscope rows lacks channels the default --sensors
+    names: an error that names a recording. With --sensors acc the report's
+    sensors cell and the channels the DFAM file records agree."""
+    acc_corpus = tmp_path / "corpus"
+    acc_corpus.mkdir()
+    for path in corpus.iterdir():
+        rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        (acc_corpus / path.name).write_text("".join(r for r in rows if ",gyr," not in r),
+                                            encoding="utf-8")
+    first = csv_dicts(corpus / "labels.csv")[0]["recording_id"]
+    model, report = tmp_path / "acc.dfam", tmp_path / "report.csv"
+    train = ["train", "--corpus", str(acc_corpus), "--out", str(model)]
+    evaluate = ["evaluate", "--corpus", str(acc_corpus), "--k", "2", "--out", str(report)]
+    for argv in (train, evaluate):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {first}: the model reads channels phone_gyr_x,phone_gyr_y,phone_gyr_z,"
+            "watch_gyr_x,watch_gyr_y,watch_gyr_z, which the recording lacks\n")
+    assert not model.exists() and not report.exists()
+    assert main(train + ["--sensors", "acc"]) == 0
+    assert main(evaluate + ["--sensors", "acc"]) == 0
+    header = model.read_text(encoding="utf-8").split("\n", 1)[0]
+    assert header.endswith(" channels=phone_acc_x,phone_acc_y,phone_acc_z,"
+                           "watch_acc_x,watch_acc_y,watch_acc_z")
+    sensors = {CHANNEL_BY_KEY[key].sensor for key in header.split(" channels=")[1].split(",")}
+    (row,) = csv_dicts(report)
+    assert row["sensors"] == "+".join(sorted(sensors)) == "acc"
+
+
 def test_model_channels_guard_classify_and_replay(tmp_path, corpus, capsys):
     paths = {name: tmp_path / name for name in ("s1", "s1_acc", "s3", "s3_acc")}
     base = ["train", "--corpus", str(corpus), "--model", "dfam"]
@@ -944,7 +987,8 @@ def test_model_channels_guard_classify_and_replay(tmp_path, corpus, capsys):
     assert main(["classify", "--model-file", str(s1), "--recording", str(recording),
                  "--out", str(out)]) == 0
     model = load_model(s1)
-    bundles = prepare_bundles(read_recording(recording), 128, devices=("phone",))
+    phone = {ch: s for ch, s in read_recording(recording).items() if ch.device == "phone"}
+    bundles = prepare_bundles(phone, 128)
     expected = [classify(extract_signature(bundle_spectra(b, 50.0), model.layout), model).label
                 for b in bundles]
     assert [row["label"] for row in csv_dicts(out)] == expected
@@ -992,6 +1036,12 @@ def test_usage_errors_exit_2():
                  ["bench"] + cutoff):
         with pytest.raises(SystemExit) as e:
             main(argv)
+        assert e.value.code == 2
+    # a seed is a non-negative integer (numpy rejects a negative one)
+    for argv in (["gen", "--out", "c"], ["train", "--corpus", "c", "--model", "dfam", "--out", "o"],
+                 ["evaluate", "--corpus", "c", "--out", "o"], ["bench"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--seed", "-1"])
         assert e.value.code == 2
 
 

@@ -68,6 +68,17 @@ def test_band_index_ranges():
         BinLayout.equal_width(30, FS).band_index_ranges(32)  # empty band
 
 
+def test_band_index_ranges_reject_a_bin_index_that_overflows():
+    """At a rate near the largest float, hi * W / fs overflows to inf: an
+    error that names the rate and W. At 1e306 Hz it stays finite."""
+    for g in (1, 3):
+        with pytest.raises(ConfigError) as e:
+            BinLayout.equal_width(g, 1e308).band_index_ranges(128)
+        assert str(e.value) == ("sample rate 1e+308 Hz at window size 128 gives a DFT bin"
+                                " index too large to represent")
+    assert BinLayout.equal_width(1, 1e306).band_index_ranges(128) == ((1, 64),)
+
+
 def test_extract_signature_pure_tone():
     layout = BinLayout.equal_width(1, FS)
     result = extract_signature(spectra_for(tone(6.25, 64), 64), layout)
@@ -312,6 +323,7 @@ def test_loads_model_errors():
         "DFAM v1 W=48 fs=50.0 g=1 axes=2 bounds=",  # W not a power of two
         "DFAM v1 W=64 fs=nan g=1 axes=2 bounds=",
         "DFAM v1 W=64 fs=inf g=1 axes=2 bounds=",
+        "DFAM v1 W=64 fs=1e308 g=1 axes=2 bounds=",  # bin indices overflow
         "DFAM v1 W=4 fs=50.0 g=3 axes=2 bounds=8.3,16.6",  # a band with no bin at W
         "DFAM v3 W=64 fs=50.0 g=1 axes=2 bounds=",
     ):

@@ -10,7 +10,7 @@ from dfam_car import pipeline
 from dfam_car.dfam import ActivityLabel, BinLayout
 from dfam_car.errors import CarError, ConfigError
 from dfam_car.hierarchy import EVENT_MOTION, EVENT_SMARTPHONE, HierarchicalCar
-from dfam_car.signals import SENSORS, TimeSeries
+from dfam_car.signals import SENSORS, TimeSeries, all_channels
 from dfam_car.synth import build_profile, generate, make_corpus
 
 FS = 50.0
@@ -65,11 +65,11 @@ def only(series, sensors):
 
 
 def train(recordings, relabel, devices=("phone", "watch"), sensors=SENSORS):
-    recordings = [dataclasses.replace(rec, series=only(rec.series, sensors)) for rec in recordings]
+    channels = tuple(ch for ch in all_channels(sensors) if ch.device in devices)
+    spec = pipeline.ModelSpec.parse("dfam")
     layout = BinLayout.equal_width(2, FS)
-    instances = relabel(pipeline.signature_instances(recordings, W, layout, devices))
-    channels = pipeline.corpus_channels(recordings, devices)
-    train_fn, _ = pipeline.trainer_for(pipeline.ModelSpec.parse("dfam"), layout, W, 0, channels)
+    instances = relabel(pipeline.instances_for(spec, recordings, W, layout, channels))
+    train_fn, _ = pipeline.trainer_for(spec, layout, W, 0, channels)
     return train_fn(instances)
 
 
