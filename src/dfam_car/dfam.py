@@ -99,8 +99,8 @@ class BinLayout:
         """
         nyq = self.sample_rate_hz / 2.0
         if not math.isfinite(nyq * window_size / self.sample_rate_hz):  # nyq is the top edge
-            raise ConfigError(f"sample rate {self.sample_rate_hz} Hz at window size {window_size}"
-                              " gives a DFT bin index too large to represent")
+            raise ConfigError(f"sample rate {self.sample_rate_hz} Hz is too large to compute"
+                              f" DFT bins at window size {window_size}")
         edges = (0.0,) + self.boundaries + (nyq,)
         ranges = []
         for i in range(self.g):

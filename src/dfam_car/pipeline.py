@@ -167,9 +167,9 @@ def instances_for(
     recordings: Sequence[Recording],
     window_size: int,
     layout: BinLayout,
-    channels: Sequence[Channel] | None = None,
+    channels: Sequence[Channel],
 ) -> list[Instance]:
-    """An instance per window of the channels given (None: all a recording has)."""
+    """An instance per window of exactly the channels given."""
     out = []
     for rec in recordings:
         fs = next(iter(rec.series.values())).sample_rate_hz

@@ -931,8 +931,8 @@ def test_a_rate_too_large_for_a_bin_index_is_an_error(tmp_path, corpus, capsys, 
     out = tmp_path / "out"
     capsys.readouterr()
     assert main([command, "--corpus", str(corpus), "--fs", "1e308", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == ("error: sample rate 1e+308 Hz at window size 128 gives a"
-                                       " DFT bin index too large to represent\n")
+    assert capsys.readouterr().err == ("error: sample rate 1e+308 Hz is too large to compute"
+                                       " DFT bins at window size 128\n")
     assert not out.exists()
 
 

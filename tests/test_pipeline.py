@@ -40,9 +40,6 @@ def test_instances_for_windows_exactly_the_given_channels(recordings, monkeypatc
                                            LAYOUT, channels)
         assert len(instances) == len(windowed) > 0
         assert set(windowed) == {channels}
-    windowed.clear()
-    pipeline.instances_for(pipeline.ModelSpec.parse("dfam"), recordings, W, LAYOUT)
-    assert set(windowed) == {all_channels()}  # None: every channel a recording has
 
 
 def test_instances_for_names_a_recording_that_lacks_a_channel(recordings):
