@@ -89,14 +89,15 @@ def cmd_gen(args) -> int:
 
 
 def _load_corpus(args):
-    """The corpus's recordings at the --placement subset, of which there must
-    be one; every one without it."""
+    """The corpus's recordings at the --placement subset, or every one without
+    it; there must be one."""
     keep = (None if args.placement is None
             else _subset(args.placement, synth.PLACEMENTS, "placement"))
-    recordings = pipeline.load_corpus(args.corpus, args.fs)
+    recordings = pipeline.load_corpus(args.corpus)
     kept = [r for r in recordings if keep is None or r.placement in keep]
-    if keep and not kept:
-        raise ConfigError(f"{args.corpus} holds no recording at the placements {','.join(keep)}")
+    if not kept:
+        where = f" at the placements {','.join(keep)}" if keep else ""
+        raise ConfigError(f"{args.corpus} holds no recording{where}")
     return kept
 
 
@@ -106,8 +107,8 @@ def cmd_train(args) -> int:
     devices = _subset(args.devices, DEVICES, "device")
     _validate_w([args.W], args.allow_any_w)
     recordings = _load_corpus(args)
-    layout = BinLayout.equal_width(args.g, args.fs)
-    channels = tuple(ch for ch in all_channels(sensors) if ch.device in devices)
+    layout = BinLayout.equal_width(args.g, pipeline.corpus_rate(recordings))
+    channels = all_channels(sensors, devices)
     instances = pipeline.instances_for(spec, recordings, args.W, layout, channels)
     if args.relabel == "moving":
         instances = pipeline.relabel_moving(instances)
@@ -133,9 +134,9 @@ def cmd_classify(args) -> int:
     model = pipeline.load_any_model(args.model_file)
     kind = classifiers.kind_of(model)
     window_size, fs, layout, channels = kind.windowing(model)
-    series = read_recording(args.recording, fs)
+    series = read_recording(args.recording)
     with pipeline.naming(args.recording):
-        bundles = pipeline.prepare_bundles(pipeline.model_series(series, channels), window_size)
+        bundles = pipeline.prepare_bundles(pipeline.model_series(series, channels, fs), window_size)
     _warn_unchecked_channels([(args.model_file, model)])
     rows = []
     for bundle in bundles:
@@ -148,9 +149,9 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _evaluate_cell(recordings, protocol, spec_text, w, g, sensors, fs, seed, k):
+def _evaluate_cell(recordings, protocol, spec_text, w, g, sensors, seed, k):
     spec = pipeline.ModelSpec.parse(spec_text)
-    layout = BinLayout.equal_width(g, fs)
+    layout = BinLayout.equal_width(g, pipeline.corpus_rate(recordings))
     channels = all_channels(sensors)
     instances = pipeline.instances_for(spec, recordings, w, layout, channels)
     train_fn, predict_fn = pipeline.trainer_for(spec, layout, w, seed, channels)
@@ -183,19 +184,17 @@ def _evaluate_cell(recordings, protocol, spec_text, w, g, sensors, fs, seed, k):
 
 def cmd_evaluate(args) -> int:
     sensors = _subset(args.sensors, SENSORS, "sensor")
-    ws = args.W
-    gs = args.g
     models = _comma_list(args.models)
-    for flag, values in (("--models", models), ("--W", ws), ("--g", gs)):
+    for flag, values in (("--models", models), ("--W", args.W), ("--g", args.g)):
         if not values:
             raise ConfigError(f"{flag} must not be empty")
-    _validate_w(ws, args.allow_any_w)
+    _validate_w(args.W, args.allow_any_w)
     for m in models:
         pipeline.ModelSpec.parse(m)  # fail fast on bad specs
     recordings = _load_corpus(args)
     results = [
-        _evaluate_cell(recordings, args.protocol, m, w, g, sensors, args.fs, args.seed, args.k)
-        for m, w, g in sorted({(m, w, g) for m in models for w in ws for g in gs})
+        _evaluate_cell(recordings, args.protocol, m, w, g, sensors, args.seed, args.k)
+        for m, w, g in sorted({(m, w, g) for m in models for w in args.W for g in args.g})
     ]
     rows = [row for row, _ in results]
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -241,7 +240,7 @@ def cmd_replay(args) -> int:
     s3_model = pipeline.load_any_model(args.s3_model)
     if not isinstance(s1_model, DfamModel) or not isinstance(s3_model, DfamModel):
         raise ConfigError("replay requires DFAM model files for S1 and S3")
-    series = read_recording(args.recording, s3_model.layout.sample_rate_hz)  # S1's is checked
+    series = read_recording(args.recording)
 
     def context(n_windows: int) -> dict[int, bool]:
         flags = _read_context(args.context) if args.context else {}
@@ -334,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--allow-any-w", action="store_true")
     p.add_argument("--out", required=True)
-    _add_common(p, "fs", "seed", "sensors")
+    _add_common(p, "seed", "sensors")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("classify", help="label a recording window by window")
@@ -354,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-any-w", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--json", default=None, help="also write full reports as JSON")
-    _add_common(p, "fs", "seed", "sensors")
+    _add_common(p, "seed", "sensors")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("replay", help="run the hierarchical recognizer over a recording")

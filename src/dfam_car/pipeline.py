@@ -37,9 +37,7 @@ from .signals import (
 from .synth import LABEL_FIELDS, Recording
 
 
-def load_corpus(
-    corpus_dir, sample_rate_hz: float = 50.0
-) -> list[Recording]:
+def load_corpus(corpus_dir) -> list[Recording]:
     """Read labels.csv plus one CSV per recording from a corpus directory.
 
     Each recording_id is listed once and names a file <id>.csv in the directory.
@@ -62,7 +60,7 @@ def load_corpus(
             label = ActivityLabel.parse(label_text)
         except ConfigError as exc:
             raise ParseError(str(exc), lineno, labels_path) from None
-        series = read_recording(path, sample_rate_hz)
+        series = read_recording(path)
         recordings.append(Recording(rec_id, participant, label, placement, series))
     return recordings
 
@@ -86,17 +84,36 @@ def naming(recording):
         raise type(exc)(f"{recording}: {exc}") from None
 
 
+RATE_TOLERANCE = 2  # samples a stream may gain or lose over its length against the reference
+
+
 def model_series(
-    series_by_channel: Mapping[Channel, TimeSeries], channels: Sequence[Channel] | None
+    series_by_channel: Mapping[Channel, TimeSeries], channels: Sequence[Channel] | None,
+    sample_rate_hz: float,
 ) -> dict[Channel, TimeSeries]:
-    """The series of exactly the channels a model reads; all of them for None
-    (a DFAM v1 model, which records no channels)."""
+    """The series of exactly the channels a model reads (all of them for None: a
+    DFAM v1 model, which records no channels), each at the given rate."""
     channels = sorted(series_by_channel) if channels is None else channels
     missing = [ch.key for ch in channels if ch not in series_by_channel]
     if missing:
         raise AlignmentError(
             f"the model reads channels {','.join(missing)}, which the recording lacks")
-    return {ch: series_by_channel[ch] for ch in channels}
+    out = {ch: series_by_channel[ch] for ch in channels}
+    for ch, s in out.items():
+        if abs(s.sample_rate_hz - sample_rate_hz) * len(s) > RATE_TOLERANCE * s.sample_rate_hz:
+            raise DataQualityError(f"the {ch.device}/{ch.sensor} stream is sampled at"
+                                   f" {s.sample_rate_hz} Hz, not {sample_rate_hz} Hz")
+    return out
+
+
+def corpus_rate(recordings: Sequence[Recording]) -> float:
+    """The rate of the corpus's median stream, which model_series checks every stream against."""
+    rates = sorted((s.sample_rate_hz, r.recording_id) for r in recordings for s in r.series.values())
+    rate, ref = rates[len(rates) // 2]
+    for rec in recordings:
+        with naming(f"{rec.recording_id} disagrees with {ref} on the sample rate"):
+            model_series(rec.series, None, rate)
+    return rate
 
 
 def bundle_spectra(
@@ -171,10 +188,10 @@ def instances_for(
 ) -> list[Instance]:
     """An instance per window of exactly the channels given."""
     out = []
+    fs = layout.sample_rate_hz
     for rec in recordings:
-        fs = next(iter(rec.series.values())).sample_rate_hz
         with naming(rec.recording_id):
-            for bundle in prepare_bundles(model_series(rec.series, channels), window_size):
+            for bundle in prepare_bundles(model_series(rec.series, channels, fs), window_size):
                 payload = window_payload(spec.kind, bundle, fs, layout)
                 out.append(Instance(str(rec.label), payload, rec.participant_id, rec.recording_id))
     return out
@@ -186,7 +203,7 @@ def signature_instances(
     layout: BinLayout,
     devices: Sequence[str] = DEVICES,
 ) -> list[Instance]:
-    channels = tuple(ch for ch in all_channels() if ch.device in devices)
+    channels = all_channels(devices=devices)
     return instances_for(ModelSpec.parse("dfam"), recordings, window_size, layout, channels)
 
 
@@ -219,12 +236,13 @@ def replay(
     s3_model: dfam.DfamModel, reset_period: int, in_use: Callable[[int], Mapping[int, bool]],
 ) -> Iterator[tuple[str, DistractionEvent | None]]:
     """Window the channels the S3 model reads (a v1 model, which records
-    none: all), call in_use(n) with the window count for each window index's
-    smartphone-in-use flag (absent: False), and check that the S1 model reads
-    none but those channels (a v1 model reads them all). The iterator
-    returned then drives the S1/S2/S3 machine one window per step, yielding
-    the state the window was processed in and its event or None."""
-    bundles = prepare_bundles(model_series(series_by_channel, s3_model.channels),
+    none: all) at its rate, call in_use(n) with the window count for each
+    window index's smartphone-in-use flag (absent: False), and check that the
+    S1 model reads none but those channels (a v1 model reads them all). The
+    iterator returned then drives the S1/S2/S3 machine one window per step,
+    yielding the state the window was processed in and its event or None."""
+    fs = s3_model.layout.sample_rate_hz
+    bundles = prepare_bundles(model_series(series_by_channel, s3_model.channels, fs),
                               s3_model.window_size)
     flags = in_use(len(bundles))
     channels = sorted(bundles[0])
@@ -235,7 +253,6 @@ def replay(
     s1_axes = None if s1_model.channels is None else [
         i for i, ch in enumerate(channels) if ch in s1_model.channels]
     machine = HierarchicalCar(s1_model, s3_model, reset_period, s1_axes)
-    fs = s3_model.layout.sample_rate_hz
     return ((machine.state.state, machine.process(bundle_spectra(bundle, fs), flags.get(i, False)))
             for i, bundle in enumerate(bundles))
 

@@ -21,7 +21,6 @@ DEVICES = ("phone", "watch")
 SENSORS = ("acc", "gyr")
 AXES = ("x", "y", "z")
 
-DEFAULT_SAMPLE_RATE_HZ = 50.0
 DEFAULT_CUTOFF_HZ = 10.0  # every command filters at it: model files do not record a cutoff
 
 CSV_FIELDS = ("timestamp_ms", "device", "sensor", "x", "y", "z")
@@ -39,14 +38,13 @@ class Channel(NamedTuple):
         return f"{self.device}_{self.sensor}_{self.axis}"
 
 
-def all_channels(sensors: Sequence[str] = SENSORS) -> tuple[Channel, ...]:
-    """Canonical channel ordering: device-major, then sensor, then axis."""
+def all_channels(sensors=SENSORS, devices=DEVICES) -> tuple[Channel, ...]:
+    """The sensors' channels on the devices, device-major, then sensor, then axis."""
     for s in sensors:
         if s not in SENSORS:
             raise ConfigError(f"unknown sensor {s!r}, expected one of {SENSORS}")
-    return tuple(
-        Channel(d, s, a) for d in DEVICES for s in SENSORS if s in sensors for a in AXES
-    )
+    return tuple(Channel(d, s, a) for d in DEVICES if d in devices
+                 for s in SENSORS if s in sensors for a in AXES)
 
 
 CHANNEL_BY_KEY = {ch.key: ch for ch in all_channels()}
@@ -65,8 +63,8 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ConfigError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if not 0.0 < self.sample_rate_hz < math.inf:
+            raise ConfigError(f"sample_rate_hz {self.sample_rate_hz} is not positive and finite")
         object.__setattr__(self, "values", _readonly(self.values))
         if self.values.ndim != 1:
             raise DataQualityError("series values must be one-dimensional")
@@ -301,9 +299,8 @@ def _parse_float(text: str, what: str, line: int, path) -> float:
 
 
 def _row_streams(text: str, path) -> dict[tuple[str, str], np.ndarray]:
-    """Each (device, sensor) stream's (n, 3) samples, read row by row with
-    float(); the first bad row is a ParseError naming its line."""
-    last_ts: dict[tuple[str, str], float] = {}
+    """Each (device, sensor) stream's (n, 4) rows of timestamp and samples, read
+    row by row with float(); the first bad row is a ParseError naming its line."""
     samples: dict[tuple[str, str], list[float]] = {}
     for lineno, (ts, device, sensor, x, y, z) in _body_rows(text, len(CSV_FIELDS), path):
         ts = _parse_float(ts, "timestamp", lineno, path)
@@ -318,11 +315,11 @@ def _row_streams(text: str, path) -> dict[tuple[str, str], np.ndarray]:
             _parse_float(y, "sample", lineno, path),
             _parse_float(z, "sample", lineno, path),
         )
-        if ts < last_ts.get(key, ts):
+        flat = samples.setdefault(key, [])
+        if flat and ts < flat[-4]:
             raise ParseError(f"timestamp went backwards for {device}/{sensor}", lineno, path)
-        last_ts[key] = ts
-        samples.setdefault(key, []).extend(xyz)
-    return {key: np.array(flat, dtype=np.float64).reshape(-1, 3) for key, flat in samples.items()}
+        flat.extend((ts, *xyz))
+    return {key: np.array(flat, dtype=np.float64).reshape(-1, 4) for key, flat in samples.items()}
 
 
 # Every byte of a recording body that numpy's reader may parse: numbers
@@ -349,32 +346,29 @@ def _bulk_streams(body: str) -> dict[tuple[str, str], np.ndarray] | None:
         )
     except ValueError:
         return None
-    ts, xyz = rows["ts"], rows["xyz"]
-    if not (np.isfinite(ts).all() and np.isfinite(xyz).all()):
+    table = np.column_stack((rows["ts"], rows["xyz"]))
+    if not np.isfinite(table).all():
         return None
     streams = {}
     for device in DEVICES:
         for sensor in SENSORS:
-            mask = (rows["device"] == device) & (rows["sensor"] == sensor)
-            stream_ts = ts[mask]
-            if (stream_ts[1:] < stream_ts[:-1]).any():
+            stream = table[(rows["device"] == device) & (rows["sensor"] == sensor)]
+            if (stream[1:, 0] < stream[:-1, 0]).any():
                 return None
-            if len(stream_ts):
-                streams[(device, sensor)] = xyz[mask]
+            if len(stream):
+                streams[(device, sensor)] = stream
     if sum(map(len, streams.values())) != len(rows):  # an unknown device or sensor
         return None
     return streams
 
 
-def read_recording(
-    path,
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
-) -> dict[Channel, TimeSeries]:
+def read_recording(path) -> dict[Channel, TimeSeries]:
     """Read every stream of one recording session CSV into per-channel series.
 
     Header: timestamp_ms,device,sensor,x,y,z. Timestamps within one
-    (device, sensor) stream must be non-decreasing. Samples are assumed
-    uniform at the declared rate (no resampling). A body of plain LF rows is
+    (device, sensor) stream must be non-decreasing. A stream's sample rate is
+    1000 * (n - 1) / (last - first) of its n timestamps, and its samples are
+    taken as uniform at that rate (no resampling). A body of plain LF rows is
     parsed in one pass of numpy's reader; any other goes through the row loop.
     """
     text = _header_checked(path, CSV_FIELDS)
@@ -383,9 +377,13 @@ def read_recording(
         streams = _row_streams(text, path)
     out: dict[Channel, TimeSeries] = {}
     for (device, sensor), arr in sorted(streams.items()):
+        span = float(arr[-1, 0]) - float(arr[0, 0])
+        rate = 1000.0 * (len(arr) - 1) / span if span else 0.0
+        if not 0.0 < rate < math.inf:
+            raise DataQualityError(f"{path}: the {device}/{sensor} timestamps give no sample rate")
         for j, axis in enumerate(AXES):
             ch = Channel(device, sensor, axis)
-            out[ch] = TimeSeries(ch, sample_rate_hz, arr[:, j])
+            out[ch] = TimeSeries(ch, rate, arr[:, j + 1])
     if not out:
         raise ParseError("no sample rows", path=path)
     return out

@@ -688,7 +688,7 @@ def test_a_feature_model_reads_the_channels_it_was_trained_on(devices, sensors):
     recordings = make_corpus(participants=1, activities=activities, duration_s=3.0)
     spec = pipeline.ModelSpec.parse("nb")
     layout = BinLayout.equal_width(3, 50.0)
-    channels = tuple(ch for ch in all_channels(sensors) if ch.device in devices)
+    channels = all_channels(sensors, devices)
     instances = pipeline.instances_for(spec, recordings, 64, layout, channels)
     assert len(channels) == 3 * len(devices) * len(sensors)
     model = pipeline.trainer_for(spec, layout, 64, 0, channels)[0](instances)

@@ -1,7 +1,10 @@
 import csv
 import dataclasses
 import json
+import re
+import shlex
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,6 +47,27 @@ def corpus(tmp_path_factory):
          "--seed", "7"]
     )
     assert rc == 0
+    return out
+
+
+def retime(source, dest, scale):
+    """Copy a recording with every timestamp times scale, which divides the
+    sample rate its streams read at by scale."""
+    header, *rows = source.read_text(encoding="utf-8").splitlines()
+    stamped = (row.split(",", 1) for row in rows)
+    dest.write_text("".join([f"{header}\n"] + [f"{float(t) * scale!r},{rest}\n"
+                                                for t, rest in stamped]), encoding="utf-8")
+    return dest
+
+
+def retimed(corpus, out, scale, ids=None):
+    """A copy of the corpus with the recordings in ids (all for None) retimed."""
+    out.mkdir()
+    for path in corpus.iterdir():
+        if path.name != "labels.csv" and (ids is None or path.stem in ids):
+            retime(path, out / path.name, scale)
+        else:
+            (out / path.name).write_bytes(path.read_bytes())
     return out
 
 
@@ -175,10 +199,12 @@ def test_train_rejects_nonstandard_w(tmp_path, corpus, capsys):
 
 
 def test_train_below_twice_the_cutoff_names_the_sample_rate(tmp_path, corpus, capsys):
-    """The corpus is written at 50 Hz; read at 20 Hz, the fixed 10 Hz
-    low-pass cutoff reaches the Nyquist rate."""
+    """At 20 Hz the fixed 10 Hz low-pass cutoff reaches the Nyquist rate.
+    gen refuses that rate (its 17.3 Hz components lie above that limit), so the
+    50 Hz corpus is restamped 50 ms apart."""
+    slow = retimed(corpus, tmp_path / "corpus", 2.5)
     model = tmp_path / "m"
-    assert main(["train", "--corpus", str(corpus), "--fs", "20", "--out", str(model)]) == 1
+    assert main(["train", "--corpus", str(slow), "--out", str(model)]) == 1
     assert capsys.readouterr().err == ("error: low-pass cutoff 10.0 Hz must be positive and"
                                        " below half the 20.0 Hz sample rate\n")
     assert not model.exists()
@@ -514,17 +540,21 @@ def test_replay_rejects_models_that_window_apart(tmp_path, corpus, capsys):
 
 
 def test_classify_and_replay_read_at_the_model_s_sample_rate(tmp_path, capsys):
-    """Models trained at --fs 100 read a recording at 100 Hz with no flag."""
+    """A corpus gen writes at 100 Hz trains with no flag into models that
+    record 100 Hz, and they read a recording at 100 Hz with no flag."""
     corpus = tmp_path / "corpus"
     assert main(["gen", "--out", str(corpus), "--participants", "1", "--duration", "10",
                  "--fs", "100"]) == 0
-    train = ["train", "--corpus", str(corpus), "--fs", "100", "--W", "64"]
+    train = ["train", "--corpus", str(corpus), "--W", "64"]
     paths = {name: tmp_path / name for name in ("s1", "s3", "knn3")}
     assert main(train + ["--relabel", "moving", "--out", str(paths["s1"])]) == 0
     assert main(train + ["--relabel", "distracted", "--out", str(paths["s3"])]) == 0
     assert main(train + ["--model", "knn3", "--out", str(paths["knn3"])]) == 0
+    for name in ("s1", "s3"):
+        assert paths[name].read_text(encoding="utf-8").startswith("DFAM v2 W=64 fs=100.0 g=3 ")
+    assert pipeline.load_any_model(paths["knn3"]).params["sample_rate_hz"] == 100.0
     recording = next(p for p in sorted(corpus.iterdir()) if "walking+eating" in p.name)
-    bundles = prepare_bundles(read_recording(recording, 100.0), 64)
+    bundles = prepare_bundles(read_recording(recording), 64)
     assert len(bundles) == 1000 // 64
     labels = tmp_path / "labels.csv"
     for name in ("s3", "knn3"):
@@ -537,7 +567,7 @@ def test_classify_and_replay_read_at_the_model_s_sample_rate(tmp_path, capsys):
                      "--out", str(labels)]) == 0
         assert [row["label"] for row in csv_dicts(labels)] == expected
     s1, s3 = (pipeline.load_any_model(paths[name]) for name in ("s1", "s3"))
-    steps = list(pipeline.replay(read_recording(recording, 100.0), s1, s3, DEFAULT_RESET_PERIOD,
+    steps = list(pipeline.replay(read_recording(recording), s1, s3, DEFAULT_RESET_PERIOD,
                                  lambda n: {}))
     expected = tmp_path / "expected.jsonl"
     write_events_jsonl([event for _, event in steps if event is not None], expected)
@@ -547,6 +577,56 @@ def test_classify_and_replay_read_at_the_model_s_sample_rate(tmp_path, capsys):
                  "--s3-model", str(paths["s3"]), "--out", str(events)]) == 0
     assert capsys.readouterr().out.startswith(f"replayed {len(bundles)} windows: ")
     assert events.read_bytes() == expected.read_bytes() != b""
+
+
+def test_classify_and_replay_refuse_a_recording_at_another_rate(tmp_path, corpus, capsys):
+    """Models trained on the 50 Hz corpus, a recording stamped 10 ms apart."""
+    models = {name: tmp_path / f"{name}.model" for name in ("s1", "s3", "nb")}
+    train = ["train", "--corpus", str(corpus), "--W", "64"]
+    assert main(train + ["--relabel", "moving", "--out", str(models["s1"])]) == 0
+    assert main(train + ["--relabel", "distracted", "--out", str(models["s3"])]) == 0
+    assert main(train + ["--model", "nb", "--out", str(models["nb"])]) == 0
+    source = next(p for p in sorted(corpus.iterdir()) if "walking+eating" in p.name)
+    recording = retime(source, tmp_path / source.name, 0.5)
+    out = tmp_path / "out"
+    for argv in (["classify", "--model-file", str(models["s3"])],
+                 ["classify", "--model-file", str(models["nb"])],
+                 ["replay", "--s1-model", str(models["s1"]), "--s3-model", str(models["s3"])]):
+        capsys.readouterr()
+        assert main(argv + ["--recording", str(recording), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: {recording}: the phone/acc stream is"
+                                           " sampled at 100.0 Hz, not 50.0 Hz\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("odd", [0, -1])
+def test_a_corpus_at_two_rates_is_an_error_naming_both(tmp_path, corpus, capsys, command, odd):
+    """One recording stamped at 100 Hz among 50 Hz ones, first or last: the
+    error names it and a 50 Hz one, whichever the commands meet first."""
+    ids = sorted(p.stem for p in corpus.glob("*.csv") if p.name != "labels.csv")
+    mixed = retimed(corpus, tmp_path / "corpus", 0.5, ids={ids[odd]})
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--corpus", str(mixed), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    head, _, tail = err.partition(" on the sample rate: ")
+    assert tail == "the phone/acc stream is sampled at 100.0 Hz, not 50.0 Hz\n"
+    off, _, ref = head.removeprefix("error: ").partition(" disagrees with ")
+    assert off == ids[odd]
+    assert ref in set(ids) - {ids[odd]}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_a_corpus_without_recordings_is_an_error(tmp_path, capsys, command):
+    (tmp_path / "labels.csv").write_text("recording_id,participant_id,label,placement\n",
+                                         encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--corpus", str(tmp_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path} holds no recording\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -928,9 +1008,11 @@ def test_evaluate_names_the_recording_of_overflowing_features(tmp_path, overflow
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 def test_a_rate_too_large_for_a_bin_index_is_an_error(tmp_path, corpus, capsys, command):
+    """Stamps 5e-307 times the corpus's 20 ms apart read at 1e308 Hz exactly."""
+    fast = retimed(corpus, tmp_path / "corpus", 5e-307)
     out = tmp_path / "out"
     capsys.readouterr()
-    assert main([command, "--corpus", str(corpus), "--fs", "1e308", "--out", str(out)]) == 1
+    assert main([command, "--corpus", str(fast), "--out", str(out)]) == 1
     assert capsys.readouterr().err == ("error: sample rate 1e+308 Hz is too large to compute"
                                        " DFT bins at window size 128\n")
     assert not out.exists()
@@ -1027,10 +1109,13 @@ def test_usage_errors_exit_2():
     classify = ["classify", "--model-file", "m", "--recording", "r", "--out", "o"]
     replay = ["replay", "--recording", "r", "--s1-model", "a", "--s3-model", "b", "--out", "o"]
     cutoff = ["--cutoff", "10"]
+    # the recordings' timestamps give the sample rate to all but gen and bench
     for argv in (classify + ["--seed", "1"], classify + ["--W", "128"], classify + ["--fs", "50"],
                  classify + ["--sensors", "acc"], replay + ["--seed", "1"],
                  replay + ["--s1-channels", "phone"], replay + ["--fs", "50"],
                  replay + ["--sensors", "acc"], ["bench", "--sensors", "acc"],
+                 ["train", "--corpus", "c", "--out", "o", "--fs", "50"],
+                 ["evaluate", "--corpus", "c", "--out", "o", "--fs", "50"],
                  ["train", "--corpus", "c", "--out", "o"] + cutoff, classify + cutoff,
                  ["evaluate", "--corpus", "c", "--out", "o"] + cutoff, replay + cutoff,
                  ["bench"] + cutoff):
@@ -1049,11 +1134,10 @@ OPTIONS = {
     "gen": ("--out", "--participants", "--duration", "--noise", "--jitter", "--placements",
             "--fs", "--seed"),
     "train": ("--corpus", "--model", "--W", "--g", "--placement", "--devices", "--relabel",
-              "--allow-any-w", "--out", "--fs", "--seed", "--sensors"),
+              "--allow-any-w", "--out", "--seed", "--sensors"),
     "classify": ("--model-file", "--recording", "--out"),
     "evaluate": ("--corpus", "--protocol", "--k", "--models --model", "--W", "--g",
-                 "--placement", "--allow-any-w", "--out", "--json", "--fs", "--seed",
-                 "--sensors"),
+                 "--placement", "--allow-any-w", "--out", "--json", "--seed", "--sensors"),
     "replay": ("--recording", "--context", "--s1-model", "--s3-model", "--reset", "--out"),
     "bench": ("--models --model", "--train-size", "--windows", "--W", "--g", "--reps",
               "--noise", "--allow-any-w", "--out", "--fs", "--seed"),
@@ -1067,4 +1151,21 @@ def test_option_inventory():
     found = {name: tuple(" ".join(a.option_strings) for a in p._actions if a.dest != "help")
              for name, p in commands.choices.items()}
     assert found == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 53
+    assert sum(map(len, OPTIONS.values())) == 51
+
+
+def readme_commands():
+    """Every `dfam-car ...` command in README.md's sh blocks, its continued
+    lines joined, as an argument list."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    text = "\n".join(blocks).replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("dfam-car ")]
+
+
+def test_readme_commands_parse():
+    """A flag that leaves the CLI cannot linger in the README."""
+    commands = readme_commands()
+    assert len(commands) == 9
+    for argv in commands:
+        build_parser().parse_args(argv)

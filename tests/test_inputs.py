@@ -74,6 +74,33 @@ def near_valid_bytes(headers: tuple[bytes, ...], tokens) -> st.SearchStrategy[by
     )
 
 
+# A stream's first timestamp, and the steps to its next ones: repeated (0),
+# regular, jumping, and ones whose sum or quotient leaves the finite floats.
+TIMESTAMP_STARTS = (0.0, -5.0, 1e300, -1e308)
+TIMESTAMP_STEPS = (0.0, 0.0, 10.0, 20.0, 20.0, 20.0, 0.5, 1e6, 1e-320, 1e308)
+
+
+@st.composite
+def timestamp_streams(draw) -> bytes:
+    """A recording of one to four streams of one or more rows each, whose
+    timestamps repeat, step evenly or jump, the streams' rows interleaved."""
+    streams = draw(st.lists(st.tuples(st.sampled_from(signals.DEVICES),
+                                      st.sampled_from(signals.SENSORS)),
+                            min_size=1, max_size=4, unique=True))
+    queues = []
+    for device, sensor in streams:
+        stamps = [draw(st.sampled_from(TIMESTAMP_STARTS))]
+        for step in draw(st.lists(st.sampled_from(TIMESTAMP_STEPS), max_size=12)):
+            stamps.append(stamps[-1] + step)
+        queues.append([f"{t!r},{device},{sensor},1,2,3\n" for t in reversed(stamps)])
+    order = draw(st.permutations([i for i, queue in enumerate(queues) for _ in queue]))
+    return RECORDING_HEADER + "".join(queues[i].pop() for i in order).encode()
+
+
+RECORDING_BYTES = st.one_of(near_valid_bytes((RECORDING_HEADER,), RECORDING_TOKENS),
+                            timestamp_streams())
+
+
 def returns_or_raises_car_error(read, *args):
     try:
         read(*args)
@@ -91,8 +118,8 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("inputs")
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=near_valid_bytes((RECORDING_HEADER,), RECORDING_TOKENS))
+@settings(max_examples=300, deadline=None)  # half of them each strategy's
+@given(data=RECORDING_BYTES)
 @example(data=RECORDING_HEADER + b"0,phone,acc,1,2,\xff\n")
 @example(data=RECORDING_HEADER + b'0,phone,acc,"1",2,3\r\n')
 def test_fuzz_read_recording(scratch, data):
@@ -102,13 +129,13 @@ def test_fuzz_read_recording(scratch, data):
 
 
 def read_outcome(path):
-    """read_recording's channels and the bytes of their values, or the type
-    and message of the CarError it raised."""
+    """read_recording's channels with their sample rates and the bytes of
+    their values, or the type and message of the CarError it raised."""
     try:
         series = read_recording(path)
     except CarError as exc:
         return type(exc), str(exc)
-    return {ch.key: s.values.tobytes() for ch, s in series.items()}
+    return {ch.key: (s.sample_rate_hz, s.values.tobytes()) for ch, s in series.items()}
 
 
 def row_loop_outcome(path):
@@ -118,12 +145,16 @@ def row_loop_outcome(path):
         return read_outcome(path)
 
 
-VALID_ROWS = b"0,phone,acc,1,2,3\n0,watch,gyr,4,5,6\n20,phone,acc,1e-400,+.5,5.\n"
+VALID_ROWS = (b"0,phone,acc,1,2,3\n0,watch,gyr,4,5,6\n20,phone,acc,1e-400,+.5,5.\n"
+              b"10,watch,gyr,7,8,9\n")
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=near_valid_bytes((RECORDING_HEADER,), RECORDING_TOKENS))
+@settings(max_examples=600, deadline=None)  # half of them each strategy's
+@given(data=RECORDING_BYTES)
 @example(data=RECORDING_HEADER + VALID_ROWS)
+@example(data=RECORDING_HEADER + VALID_ROWS + b"10,watch,acc,1,2,3\n")  # a single row
+@example(data=RECORDING_HEADER + b"5,phone,acc,1,2,3\n5,phone,acc,1,2,3\n")  # no time passes
+@example(data=RECORDING_HEADER + b"0,phone,acc,1,2,3\n33,phone,acc,1,2,3\n1000,phone,acc,1,2,3\n")
 @example(data=RECORDING_HEADER + b"\n\n\n")
 @example(data=RECORDING_HEADER.replace(b"\n", b"\r\n") + VALID_ROWS.replace(b"\n", b"\r\n"))
 @example(data=RECORDING_HEADER + b"0,phone,acc,1,2,3\r20,phone,acc,1,2,3\n")

@@ -65,7 +65,7 @@ def only(series, sensors):
 
 
 def train(recordings, relabel, devices=("phone", "watch"), sensors=SENSORS):
-    channels = tuple(ch for ch in all_channels(sensors) if ch.device in devices)
+    channels = all_channels(sensors, devices)
     spec = pipeline.ModelSpec.parse("dfam")
     layout = BinLayout.equal_width(2, FS)
     instances = relabel(pipeline.instances_for(spec, recordings, W, layout, channels))

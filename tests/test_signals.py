@@ -38,6 +38,12 @@ def test_all_channels_canonical_order():
     assert len(all_channels(("acc",))) == 6
 
 
+def test_all_channels_keeps_the_devices_in_canonical_order():
+    assert all_channels(("gyr",), devices=("watch", "phone")) == tuple(
+        ch for ch in all_channels() if ch.sensor == "gyr")
+    assert all_channels(devices=("watch",)) == all_channels()[6:]
+
+
 def test_timeseries_rejects_non_finite():
     with pytest.raises(DataQualityError):
         series([1.0, np.nan, 2.0])
@@ -45,6 +51,12 @@ def test_timeseries_rejects_non_finite():
         series([1.0, np.inf])
     with pytest.raises(ConfigError):
         TimeSeries(Channel("phone", "acc", "x"), 0.0, np.zeros(4))
+
+
+@pytest.mark.parametrize("rate", [0.0, -50.0, np.nan, np.inf, -np.inf])
+def test_timeseries_rejects_a_rate_that_is_not_positive_and_finite(rate):
+    with pytest.raises(ConfigError, match="is not positive and finite"):
+        TimeSeries(Channel("phone", "acc", "x"), rate, np.zeros(4))
 
 
 def test_low_pass_dc_gain_unity():
@@ -259,13 +271,14 @@ def test_recording_roundtrip(tmp_path):
     by_ch = {ch: series(rng.normal(size=40), ch) for ch in all_channels()}
     path = tmp_path / "rec.csv"
     write_recording(path, by_ch)
-    back = read_recording(path, FS)
+    back = read_recording(path)
     assert set(back) == set(by_ch)
     for ch in by_ch:
         assert np.array_equal(back[ch].values, by_ch[ch].values)
+        assert back[ch].sample_rate_hz == FS  # from the stamps write_recording gives
     acc_only = {ch: by_ch[ch] for ch in all_channels(("acc",))}
     write_recording(path, acc_only)  # read_recording returns every stream a file holds
-    assert list(read_recording(path, FS)) == list(acc_only)
+    assert list(read_recording(path)) == list(acc_only)
 
 
 def test_crlf_recording_reads_like_lf(tmp_path):
@@ -273,10 +286,11 @@ def test_crlf_recording_reads_like_lf(tmp_path):
     lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
     write_recording(lf, {ch: series(rng.normal(size=20), ch) for ch in all_channels()})
     crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-    a, b = read_recording(lf, FS), read_recording(crlf, FS)
+    a, b = read_recording(lf), read_recording(crlf)
     assert list(a) == list(b)
     for ch in a:
         assert np.array_equal(a[ch].values, b[ch].values)
+        assert a[ch].sample_rate_hz == b[ch].sample_rate_hz == FS
 
 
 def test_read_recording_parse_errors(tmp_path):
@@ -325,3 +339,48 @@ def test_read_recording_parse_errors(tmp_path):
         read_recording(path)
     assert e.value.line == 3
     assert str(path) in str(e.value)
+
+
+@pytest.mark.parametrize("fs", [50.0, 100.0, 20.0, 48.0, 200.0 / 3.0])
+@pytest.mark.parametrize("n", [2, 3, 500, 1501])
+def test_the_rate_of_written_stamps_is_the_rate_written(tmp_path, fs, n):
+    """write_recording stamps sample i at round(i * 1000 / fs) ms. Where the
+    period is a whole number of ms the derived rate is fs exactly; elsewhere
+    it is within half a ms over the stream's span."""
+    path = tmp_path / "rec.csv"
+    rng = np.random.default_rng(n)
+    write_recording(path, {ch: TimeSeries(ch, fs, rng.normal(size=n)) for ch in all_channels()})
+    last = round((n - 1) * 1000.0 / fs)
+    for got in read_recording(path).values():
+        assert type(got.sample_rate_hz) is float
+        assert got.sample_rate_hz == 1000.0 * (n - 1) / last
+        if 1000.0 / fs == round(1000.0 / fs):
+            assert got.sample_rate_hz == fs
+        assert abs(1000.0 * (n - 1) / got.sample_rate_hz - 1000.0 * (n - 1) / fs) <= 0.5
+
+
+@pytest.mark.parametrize("rows", [
+    "0,phone,acc,1,2,3\n",  # one sample
+    "20,phone,acc,1,2,3\n20,phone,acc,1,2,3\n20,phone,acc,1,2,3\n",  # no time passes
+    "-1e308,phone,acc,1,2,3\n1e308,phone,acc,1,2,3\n",  # a span that overflows
+    "0,phone,acc,1,2,3\n1e-320,phone,acc,1,2,3\n",  # a rate that overflows
+])
+def test_timestamps_that_give_no_rate_are_an_error(tmp_path, rows):
+    path = tmp_path / "rec.csv"
+    path.write_text("timestamp_ms,device,sensor,x,y,z\n0,watch,gyr,1,2,3\n20,watch,gyr,1,2,3\n"
+                    + rows, encoding="utf-8")
+    with pytest.raises(DataQualityError) as e:
+        read_recording(path)
+    assert str(e.value) == f"{path}: the phone/acc timestamps give no sample rate"
+
+
+def test_each_stream_has_its_own_rate(tmp_path):
+    """The phone and the watch streams of one file may differ; the commands
+    then refuse the stream that differs from the model's rate."""
+    path = tmp_path / "rec.csv"
+    path.write_text("timestamp_ms,device,sensor,x,y,z\n"
+                    + "".join(f"{10 * i},phone,acc,1,2,3\n" for i in range(5))
+                    + "".join(f"{20 * i},watch,acc,1,2,3\n" for i in range(5)),
+                    encoding="utf-8")
+    rates = {ch.device: s.sample_rate_hz for ch, s in read_recording(path).items()}
+    assert rates == {"phone": 100.0, "watch": 50.0}
